@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet
+.PHONY: build test vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet bench-hotpath
 
 build:
 	$(GO) build ./...
@@ -73,3 +73,9 @@ bench-serve:
 # ASP-slots/sec are recorded into BENCH_fleet.json.
 bench-fleet:
 	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 1x .
+
+# Smoke-run the paper-reproduction hot-path benchmarks with allocation
+# counts: the tree DP on the largest reproduction tree and on the fleet
+# planner's 3-stage/branch-3 tree, and the ARIMA forecast-horizon study.
+bench-hotpath:
+	$(GO) test -run '^$$' -bench 'BenchmarkTreeDP(Large|Small)$$|BenchmarkExtensionForecastHorizons$$' -benchmem -benchtime 1x .

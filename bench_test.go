@@ -629,19 +629,22 @@ func BenchmarkScenarioTreeBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeDPLarge exercises the stochastic lot-sizing DP on the
-// largest tree used anywhere in the reproduction.
-func BenchmarkTreeDPLarge(b *testing.B) {
+// treeDPProblem builds the lot-sizing instance of the tree DP benches: a
+// bid-adjusted scenario tree with the given depth and branching, constant
+// unit and holding costs, and per-vertex demand — or, with stageDemand,
+// one demand per stage as SRRP plans have.
+func treeDPProblem(b *testing.B, stages, branch int, stageDemand bool) *lotsize.TreeProblem {
+	b.Helper()
 	base := stats.Discrete{
 		Values: []float64{0.056, 0.058, 0.060, 0.062, 0.064},
 		Probs:  []float64{0.1, 0.2, 0.4, 0.2, 0.1},
 	}
-	bids := make([]float64, 6)
+	bids := make([]float64, stages)
 	for i := range bids {
 		bids[i] = 0.061
 	}
 	tree, err := scenario.Build(base, bids, 0.2, scenario.BuildConfig{
-		Stages: 6, MaxBranch: 4, RootPrice: 0.06,
+		Stages: stages, MaxBranch: branch, RootPrice: 0.06,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -658,16 +661,34 @@ func BenchmarkTreeDPLarge(b *testing.B) {
 	for v := 0; v < n; v++ {
 		tp.Unit[v] = 0.05
 		tp.Hold[v] = 0.2
-		tp.Demand[v] = 0.4 + 0.01*math.Mod(float64(v), 7)
+		if stageDemand {
+			tp.Demand[v] = 0.4 + 0.01*float64(tree.Stage[v])
+		} else {
+			tp.Demand[v] = 0.4 + 0.01*math.Mod(float64(v), 7)
+		}
 	}
-	b.ReportMetric(float64(n), "tree_vertices")
+	return tp
+}
+
+func benchTreeDP(b *testing.B, tp *lotsize.TreeProblem) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lotsize.SolveTree(tp); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(tp.N()), "tree_vertices")
 }
+
+// BenchmarkTreeDPLarge exercises the stochastic lot-sizing DP on the
+// largest tree used anywhere in the reproduction.
+func BenchmarkTreeDPLarge(b *testing.B) { benchTreeDP(b, treeDPProblem(b, 6, 4, false)) }
+
+// BenchmarkTreeDPSmall runs the DP on the 3-stage, branch-3 trees with
+// stage demands that the fleet's SRRP planner solves tens of thousands of
+// times, so per-call set-up cost shows.
+func BenchmarkTreeDPSmall(b *testing.B) { benchTreeDP(b, treeDPProblem(b, 3, 3, true)) }
 
 // BenchmarkAblationLShaped compares the L-shaped (Benders) decomposition of
 // the two-stage SRRP LP relaxation against solving the stacked extensive
@@ -748,6 +769,7 @@ func BenchmarkExtensionCapacitySweep(b *testing.B) {
 
 func BenchmarkExtensionForecastHorizons(b *testing.B) {
 	cfg := quickCfg(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.ForecastHorizonStudy(cfg, []int{1, 24}); err != nil {

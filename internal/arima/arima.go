@@ -66,82 +66,16 @@ type Model struct {
 	series []float64
 }
 
-// expandedAR returns the coefficients of φ(L)·Φ(L^s) written as
-// w_t = Σ a_i w_{t−i} + ..., i.e. the full autoregressive lag polynomial
-// with the leading 1 dropped and signs such that a_i multiply past values.
-func expandPoly(nonseasonal []float64, seasonal []float64, period int) []float64 {
-	// Polynomial form: (1 − Σ c_i L^i)(1 − Σ C_j L^{js}); product expanded.
-	n := len(nonseasonal) + period*len(seasonal)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i, c := range nonseasonal {
-		out[i] += c
-	}
-	for j, cs := range seasonal {
-		lag := (j + 1) * period
-		out[lag-1] += cs
-		for i, c := range nonseasonal {
-			out[lag+i] -= cs * c // cross terms: −(−C)(−c) = −Cc
-		}
-	}
-	return out
-}
-
-// stationary applies the Schur–Cohn test: the monic polynomial
-// 1 − Σ a_i z^i has all roots outside the unit circle iff all reflection
-// coefficients computed by the step-down recursion lie in (−1, 1).
-func stationary(a []float64) bool {
-	p := len(a)
-	if p == 0 {
-		return true
-	}
-	cur := append([]float64(nil), a...)
-	for k := p; k >= 1; k-- {
-		r := cur[k-1]
-		if math.Abs(r) >= 1-1e-9 {
-			return false
-		}
-		if k == 1 {
-			break
-		}
-		next := make([]float64, k-1)
-		den := 1 - r*r
-		for i := 0; i < k-1; i++ {
-			next[i] = (cur[i] + r*cur[k-2-i]) / den
-		}
-		cur = next
-	}
-	return true
-}
-
-// cssResiduals runs the ARMA recursion e_t = w_t − μ − Σa_i(w_{t−i}−μ)
-// − Σb_j e_{t−j} with zero pre-sample residuals, starting after the longest
-// AR lag. It returns the residuals and the implied sum of squares.
-func cssResiduals(w []float64, a, b []float64, mu float64) ([]float64, float64) {
-	n := len(w)
-	p, q := len(a), len(b)
-	e := make([]float64, n)
-	css := 0.0
-	for t := p; t < n; t++ {
-		v := w[t] - mu
-		for i := 0; i < p; i++ {
-			v -= a[i] * (w[t-1-i] - mu)
-		}
-		for j := 0; j < q && t-1-j >= p; j++ {
-			v -= b[j] * e[t-1-j]
-		}
-		e[t] = v
-		css += v * v
-	}
-	return e, css
-}
-
-// Fit estimates the model on xs by conditional sum of squares.
+// Fit estimates the model on xs by conditional sum of squares. Every
+// observation must be finite.
 func Fit(xs []float64, spec Spec) (*Model, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
+	}
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("arima: non-finite observation %g at index %d", x, i)
+		}
 	}
 	w := difference(xs, spec)
 	pFull := spec.P + spec.Period*spec.SP
@@ -153,31 +87,8 @@ func Fit(xs []float64, spec Spec) (*Model, error) {
 
 	// Parameter vector layout: [AR, MA, SAR, SMA, (mean)].
 	x0 := initialGuess(w, spec)
-	unpack := func(x []float64) (ar, ma, sar, sma []float64, mu float64) {
-		i := 0
-		ar = x[i : i+spec.P]
-		i += spec.P
-		ma = x[i : i+spec.Q]
-		i += spec.Q
-		sar = x[i : i+spec.SP]
-		i += spec.SP
-		sma = x[i : i+spec.SQ]
-		i += spec.SQ
-		if spec.WithMean {
-			mu = x[i]
-		}
-		return
-	}
-	obj := func(x []float64) float64 {
-		ar, ma, sar, sma, mu := unpack(x)
-		a := expandPoly(ar, sar, spec.Period)
-		b := expandMA(ma, sma, spec.Period)
-		if !stationary(a) || !stationary(negate(b)) {
-			return math.Inf(1)
-		}
-		_, css := cssResiduals(w, a, b, mu)
-		return css
-	}
+	kern := newCSSKernel(w, spec, false)
+	obj := func(x []float64) float64 { return kern.objective(spec, x) }
 	var res optimize.Result
 	if len(x0) == 0 {
 		res = optimize.Result{X: nil, F: obj(nil)}
@@ -202,9 +113,8 @@ func Fit(xs []float64, spec Spec) (*Model, error) {
 			return nil, errors.New("arima: no stationary/invertible parameters found")
 		}
 	}
-	ar, ma, sar, sma, mu := unpack(res.X)
-	a := expandPoly(ar, sar, spec.Period)
-	nEff := len(w) - len(a)
+	ar, ma, sar, sma, mu := unpack(spec, res.X)
+	nEff := len(w) - pFull
 	if nEff < 1 {
 		return nil, errors.New("arima: no effective observations")
 	}
@@ -225,20 +135,6 @@ func Fit(xs []float64, spec Spec) (*Model, error) {
 		series: append([]float64(nil), xs...),
 	}
 	return m, nil
-}
-
-// expandMA expands (1 + Σθ_i L^i)(1 + ΣΘ_j L^{js}) into 1 + Σ b_k L^k and
-// returns b. Note the positive cross terms, unlike the AR expansion.
-func expandMA(ma, sma []float64, period int) []float64 {
-	return negate(expandPoly(negate(ma), negate(sma), period))
-}
-
-func negate(b []float64) []float64 {
-	out := make([]float64, len(b))
-	for i, v := range b {
-		out[i] = -v
-	}
-	return out
 }
 
 func mean(xs []float64) float64 {
@@ -321,14 +217,18 @@ func difference(xs []float64, spec Spec) []float64 {
 	return w
 }
 
-// Residuals recomputes the in-sample CSS residuals of the fitted model.
-func (m *Model) Residuals() []float64 {
-	w := difference(m.series, m.Spec)
-	a := expandPoly(m.AR, m.SAR, m.Spec.Period)
-	b := expandMA(m.MA, m.SMA, m.Spec.Period)
-	e, _ := cssResiduals(w, a, b, m.Mean)
-	return e
+// residualKernel reruns the CSS recursion of the fitted model over its
+// differenced history, leaving the expanded polynomials and every residual
+// in the returned kernel.
+func (m *Model) residualKernel() *cssKernel {
+	k := newCSSKernel(difference(m.series, m.Spec), m.Spec, true)
+	k.setCoefs(m.AR, m.MA, m.SAR, m.SMA)
+	k.css(m.Mean)
+	return k
 }
+
+// Residuals recomputes the in-sample CSS residuals of the fitted model.
+func (m *Model) Residuals() []float64 { return m.residualKernel().e }
 
 // ResidualDiagnostic applies the Ljung–Box portmanteau test to the fitted
 // model's CSS residuals (skipping the warm-up zeros): a small p-value means
@@ -337,7 +237,7 @@ func (m *Model) Residuals() []float64 {
 // practice.
 func (m *Model) ResidualDiagnostic(h int) (stat, pValue float64, err error) {
 	res := m.Residuals()
-	skip := len(expandPoly(m.AR, m.SAR, m.Spec.Period))
+	skip := m.Spec.P + m.Spec.Period*m.Spec.SP
 	if skip >= len(res) {
 		return 0, 0, errors.New("arima: no residuals to diagnose")
 	}

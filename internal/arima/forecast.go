@@ -22,10 +22,8 @@ func (m *Model) Forecast(h int) (*Forecast, error) {
 		return nil, errors.New("arima: horizon must be positive")
 	}
 	spec := m.Spec
-	w := difference(m.series, spec)
-	a := expandPoly(m.AR, m.SAR, spec.Period)
-	b := expandMA(m.MA, m.SMA, spec.Period)
-	e, _ := cssResiduals(w, a, b, m.Mean)
+	k := m.residualKernel()
+	w, a, b, e := k.w, k.a, k.b, k.e
 
 	// Forward recursion on the differenced scale with future shocks at 0.
 	n := len(w)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // TreeProblem is stochastic uncapacitated lot-sizing on a scenario tree —
@@ -11,7 +12,8 @@ import (
 // bottleneck constraint. Vertices are indexed 0..n−1 in topological order
 // (Parent[v] < v, Parent[0] = −1). Prob[v] is the absolute probability p_v
 // of reaching vertex v (Σ over each stage = 1). Costs are unweighted; the
-// solver applies the probability weights of objective (13).
+// solver applies the probability weights of objective (13). All data must
+// be finite.
 //
 // The inventory β is a *state variable*: β_v = β_{π(v)} + α_v − D_v must be
 // nonnegative at every vertex, so production decisions hedge across
@@ -43,12 +45,18 @@ func (p *TreeProblem) validate() error {
 	if p.Parent[0] != -1 {
 		return errors.New("lotsize: vertex 0 must be the root (Parent[0] = -1)")
 	}
+	if !finite(p.InitialInventory) {
+		return fmt.Errorf("lotsize: non-finite initial inventory %g", p.InitialInventory)
+	}
 	if p.InitialInventory < 0 {
 		return errors.New("lotsize: negative initial inventory")
 	}
 	for v := 0; v < n; v++ {
 		if v > 0 && (p.Parent[v] < 0 || p.Parent[v] >= v) {
 			return fmt.Errorf("lotsize: vertex %d has invalid parent %d (need topological order)", v, p.Parent[v])
+		}
+		if !finite(p.Prob[v]) || !finite(p.Demand[v]) || !finite(p.Setup[v]) || !finite(p.Unit[v]) || !finite(p.Hold[v]) {
+			return fmt.Errorf("lotsize: non-finite data at vertex %d", v)
 		}
 		if p.Prob[v] <= 0 || p.Prob[v] > 1+1e-9 {
 			return fmt.Errorf("lotsize: vertex %d has probability %g outside (0,1]", v, p.Prob[v])
@@ -59,6 +67,8 @@ func (p *TreeProblem) validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // TreeSolution is an optimal plan for a TreeProblem.
 type TreeSolution struct {
@@ -85,105 +95,21 @@ type TreeSolution struct {
 // sum is a constant. Feasibility is the covering condition Y_v ≥ cumD_v.
 // Because every ĉ_v ≥ 0, an optimal solution raises Y only to values in
 // {cumD_w : w ∈ subtree(v)} (a binding future requirement), which yields a
-// finite DP over states (v, Y entering v).
+// finite DP over states (v, Y entering v). Y is therefore always ε or one
+// of the cumD values, and the DP keys its states by Y's rank among them.
 func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	n := p.N()
-	children := make([][]int, n)
-	for v := 1; v < n; v++ {
-		children[p.Parent[v]] = append(children[p.Parent[v]], v)
-	}
-	cumD := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if v == 0 {
-			cumD[0] = p.Demand[0]
-		} else {
-			cumD[v] = cumD[p.Parent[v]] + p.Demand[v]
-		}
-	}
-	// Subtree holding mass H_v = Σ_{w ∈ subtree(v)} p_w·Hold_w and the
-	// modified unit cost ĉ_v, via reverse topological order.
-	H := make([]float64, n)
-	for v := n - 1; v >= 0; v-- {
-		H[v] = p.Prob[v] * p.Hold[v]
-		for _, c := range children[v] {
-			H[v] += H[c]
-		}
-	}
-	chat := make([]float64, n)
-	for v := 0; v < n; v++ {
-		chat[v] = p.Prob[v]*p.Unit[v] + H[v]
-	}
-	// Candidate production targets per vertex: sorted distinct cumD values
-	// of the subtree. Built by merging children lists (reverse topo).
-	targets := make([][]float64, n)
-	for v := n - 1; v >= 0; v-- {
-		merged := []float64{cumD[v]}
-		for _, c := range children[v] {
-			merged = mergeSortedUnique(merged, targets[c])
-		}
-		targets[v] = merged
-	}
-
-	// Memoised DP over (vertex, incoming cumulative supply Y).
-	type decision struct {
-		cost    float64
-		produce bool
-		target  float64
-	}
-	memo := make([]map[float64]decision, n)
-	for v := range memo {
-		memo[v] = make(map[float64]decision)
-	}
-	const tol = 1e-12
-	var solve func(v int, y float64) float64
-	solve = func(v int, y float64) float64 {
-		if d, ok := memo[v][y]; ok {
-			return d.cost
-		}
-		best := decision{cost: math.Inf(1)}
-		// Option 1: no production at v (feasible if supply already covers
-		// the cumulative demand through v).
-		if y >= cumD[v]-tol {
-			c := 0.0
-			for _, ch := range children[v] {
-				c += solve(ch, y)
-			}
-			if c < best.cost {
-				best = decision{cost: c, produce: false, target: y}
-			}
-		}
-		// Option 2: produce up to a binding future requirement t > y.
-		for _, t := range targets[v] {
-			if t <= y+tol || t < cumD[v]-tol {
-				continue
-			}
-			c := p.Prob[v]*p.Setup[v] + chat[v]*(t-y)
-			if c >= best.cost {
-				continue // children costs are ≥ 0; prune
-			}
-			for _, ch := range children[v] {
-				c += solve(ch, t)
-				if c >= best.cost {
-					break
-				}
-			}
-			if c < best.cost {
-				best = decision{cost: c, produce: true, target: t}
-			}
-		}
-		memo[v][y] = best
-		return best.cost
-	}
-	root := solve(0, p.InitialInventory)
+	d := newTreeDP(p)
+	root := d.solve(0, d.epsRank)
 	if math.IsInf(root, 1) {
 		return nil, errors.New("lotsize: infeasible tree plan (internal error)")
 	}
 	constCost := 0.0
 	for v := 0; v < n; v++ {
-		constCost += p.Prob[v] * p.Hold[v] * (p.InitialInventory - cumD[v])
+		constCost += p.Prob[v] * p.Hold[v] * (p.InitialInventory - d.cumD[v])
 	}
 	sol := &TreeSolution{
 		Cost:      root + constCost,
@@ -191,65 +117,274 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 		Setup:     make([]bool, n),
 		Inventory: make([]float64, n),
 	}
-	// Reconstruct the plan by replaying the memoised decisions.
-	type walk struct {
-		v int
-		y float64
-	}
-	stack := []walk{{0, p.InitialInventory}}
-	for len(stack) > 0 {
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		d, ok := memo[w.v][w.y]
+	// Reconstruct the plan by replaying the memoised decisions in
+	// topological order; yOut[v] is the supply Y leaving v, carried as the
+	// exact value the DP saw along that path.
+	// The two rows reuse h and rankOf, which the DP no longer reads.
+	yOut, yOutRank := d.h, d.rankOf
+	for v := 0; v < n; v++ {
+		y, yr := p.InitialInventory, d.epsRank
+		if v > 0 {
+			y, yr = yOut[p.Parent[v]], yOutRank[p.Parent[v]]
+		}
+		i, ok := d.memo.find(d.key(int32(v), yr))
 		if !ok {
 			return nil, errors.New("lotsize: reconstruction state missing (internal error)")
 		}
-		y := w.y
-		if d.produce {
-			sol.Produce[w.v] = d.target - y
-			sol.Setup[w.v] = true
-			y = d.target
+		if r := d.memo.slots[i].target; r >= 0 {
+			sol.Produce[v] = d.vals[r] - y
+			sol.Setup[v] = true
+			y, yr = d.vals[r], r
 		}
-		sol.Inventory[w.v] = y - cumD[w.v]
-		if sol.Inventory[w.v] < 0 && sol.Inventory[w.v] > -1e-9 {
-			sol.Inventory[w.v] = 0
+		sol.Inventory[v] = y - d.cumD[v]
+		if sol.Inventory[v] < 0 && sol.Inventory[v] > -1e-9 {
+			sol.Inventory[v] = 0
 		}
-		for _, c := range children[w.v] {
-			stack = append(stack, walk{c, y})
-		}
+		yOut[v], yOutRank[v] = y, yr
 	}
 	return sol, nil
 }
 
-// mergeSortedUnique merges two ascending slices, dropping duplicates (within
-// exact float equality, which holds because all values are shared cumD
-// sums).
-func mergeSortedUnique(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v float64
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case b[j] < a[i]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
+// treeDP is the state of one SolveTree call. Supply levels are identified
+// by rank: ranks 0..R−1 are the R distinct cumD values in ascending order,
+// and ε has rank R unless it equals one of them.
+type treeDP struct {
+	p *TreeProblem
+	// The children of v are kids[kidOff[v]:kidOff[v+1]], in index order.
+	kidOff, kids []int32
+	cumD         []float64
+	h            []float64 // subtree holding mass H_v
+	chat         []float64 // modified unit cost ĉ_v
+	vals         []float64 // supply level of each rank
+	rankOf       []int32   // rank of cumD_v
+	// The production targets of v, the ranks of the distinct cumD values
+	// of its subtree, are tgt[tgtOff[2v]:tgtOff[2v+1]] in ascending order.
+	tgt, tgtOff []int32
+	epsRank     int32
+	nRank       uint64
+	memo        memoTable
+}
+
+func newTreeDP(p *TreeProblem) *treeDP {
+	n := p.N()
+	// Two backing arrays hold every per-vertex row; vals, which gains ε's
+	// rank at most, grows into the last n+1 floats.
+	fl := make([]float64, 4*n+1)
+	ix := make([]int32, 6*n)
+	d := &treeDP{
+		p:      p,
+		cumD:   fl[:n],
+		h:      fl[n : 2*n],
+		chat:   fl[2*n : 3*n],
+		vals:   fl[3*n : 3*n],
+		kidOff: ix[:n+1],
+		kids:   ix[n+1 : 2*n],
+		rankOf: ix[2*n : 3*n],
+		tgtOff: ix[3*n : 5*n],
+	}
+	depth := ix[5*n:]
+
+	// Children in compressed sparse row form.
+	for v := 1; v < n; v++ {
+		d.kidOff[p.Parent[v]+1]++
+	}
+	for v := 0; v < n; v++ {
+		d.kidOff[v+1] += d.kidOff[v]
+	}
+	next := depth // borrowed as the fill cursor
+	copy(next, d.kidOff[:n])
+	for v := 1; v < n; v++ {
+		d.kids[next[p.Parent[v]]] = int32(v)
+		next[p.Parent[v]]++
+	}
+
+	// Path-cumulative demand; Σ_v (depth_v + 1) bounds the target lists.
+	nTgt := 0
+	for v := 0; v < n; v++ {
+		if v == 0 {
+			d.cumD[0] = p.Demand[0]
+			depth[0] = 0
+		} else {
+			d.cumD[v] = d.cumD[p.Parent[v]] + p.Demand[v]
+			depth[v] = depth[p.Parent[v]] + 1
 		}
-		if len(out) == 0 || out[len(out)-1] != v { //lint:ignore rentlint/floatcmp dedup of values copied verbatim from the inputs: equal means bit-identical here
-			out = append(out, v)
+		nTgt += int(depth[v]) + 1
+	}
+	// Subtree holding mass H_v = Σ_{w ∈ subtree(v)} p_w·Hold_w and the
+	// modified unit cost ĉ_v, via reverse topological order.
+	for v := n - 1; v >= 0; v-- {
+		d.h[v] = p.Prob[v] * p.Hold[v]
+		for _, c := range d.children(v) {
+			d.h[v] += d.h[c]
 		}
 	}
-	return out
+	for v := 0; v < n; v++ {
+		d.chat[v] = p.Prob[v]*p.Unit[v] + d.h[v]
+	}
+
+	// Ranks of the supply levels.
+	d.vals = append(d.vals, d.cumD...)
+	slices.Sort(d.vals)
+	d.vals = slices.Compact(d.vals)
+	for v := 0; v < n; v++ {
+		r, _ := slices.BinarySearch(d.vals, d.cumD[v])
+		d.rankOf[v] = int32(r)
+	}
+	r, found := slices.BinarySearch(d.vals, p.InitialInventory)
+	if !found {
+		r = len(d.vals)
+		d.vals = append(d.vals, p.InitialInventory)
+	}
+	d.epsRank = int32(r)
+	d.nRank = uint64(len(d.vals))
+
+	// Target lists, merged up from the children (reverse topological).
+	// The two merge rows live in the still-unused tail of tgt.
+	nr := len(d.vals)
+	d.tgt = make([]int32, 0, nTgt+2*nr)
+	cur, spare := d.tgt[nTgt:nTgt:nTgt+nr], d.tgt[nTgt+nr:nTgt+nr:nTgt+2*nr]
+	for v := n - 1; v >= 0; v-- {
+		cur = append(cur[:0], d.rankOf[v])
+		for _, c := range d.children(v) {
+			merged := mergeRanks(spare[:0], cur, d.targets(int(c)))
+			cur, spare = merged, cur
+		}
+		d.tgtOff[2*v] = int32(len(d.tgt))
+		d.tgt = append(d.tgt, cur...)
+		d.tgtOff[2*v+1] = int32(len(d.tgt))
+	}
+
+	d.memo.init(2 * n)
+	return d
+}
+
+func (d *treeDP) children(v int) []int32 { return d.kids[d.kidOff[v]:d.kidOff[v+1]] }
+
+func (d *treeDP) targets(v int) []int32 { return d.tgt[d.tgtOff[2*v]:d.tgtOff[2*v+1]] }
+
+// key packs the DP state (v, rank of Y entering v) into a nonzero memo key.
+func (d *treeDP) key(v, yr int32) uint64 { return uint64(v)*d.nRank + uint64(yr) + 1 }
+
+// solve returns the optimal cost of the subtree of v when the supply
+// entering v has rank yr, memoising the decision.
+func (d *treeDP) solve(v, yr int32) float64 {
+	key := d.key(v, yr)
+	if i, ok := d.memo.find(key); ok {
+		return d.memo.slots[i].cost
+	}
+	const tol = 1e-12
+	p := d.p
+	y := d.vals[yr]
+	kids := d.children(int(v))
+	best, bestTarget := math.Inf(1), int32(-1)
+	// Option 1: no production at v (feasible if supply already covers the
+	// cumulative demand through v).
+	if y >= d.cumD[v]-tol {
+		c := 0.0
+		for _, ch := range kids {
+			c += d.solve(ch, yr)
+		}
+		if c < best {
+			best = c
+		}
+	}
+	// Option 2: produce up to a binding future requirement t > y.
+	for _, r := range d.targets(int(v)) {
+		t := d.vals[r]
+		if t <= y+tol || t < d.cumD[v]-tol {
+			continue
+		}
+		c := p.Prob[v]*p.Setup[v] + d.chat[v]*(t-y)
+		if c >= best {
+			continue // children costs are ≥ 0; prune
+		}
+		for _, ch := range kids {
+			c += d.solve(ch, r)
+			if c >= best {
+				break
+			}
+		}
+		if c < best {
+			best, bestTarget = c, r
+		}
+	}
+	d.memo.insert(key, best, bestTarget)
+	return best
+}
+
+// mergeRanks appends the ascending union of the ascending lists a and b to
+// out.
+func mergeRanks(out, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// memoTable is an open-addressing hash map from DP state keys to decisions,
+// with linear probing and Fibonacci hashing.
+type memoTable struct {
+	slots []memoSlot
+	shift uint
+	used  int
+}
+
+type memoSlot struct {
+	key    uint64 // 0 marks an empty slot
+	cost   float64
+	target int32 // rank produced up to, or −1 for no production
+}
+
+// init empties the table and sizes it for capacity keys.
+func (m *memoTable) init(capacity int) {
+	size, shift := 16, uint(60)
+	for size < 2*capacity {
+		size, shift = 2*size, shift-1
+	}
+	m.slots, m.shift, m.used = make([]memoSlot, size), shift, 0
+}
+
+// find returns the slot holding key, or the empty slot where it belongs.
+func (m *memoTable) find(key uint64) (int, bool) {
+	mask := uint64(len(m.slots) - 1)
+	i := (key * 0x9e3779b97f4a7c15) >> m.shift
+	for {
+		switch m.slots[i].key {
+		case key:
+			return int(i), true
+		case 0:
+			return int(i), false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// insert adds a key that is not in the table, keeping the load at most ½.
+func (m *memoTable) insert(key uint64, cost float64, target int32) {
+	if 2*(m.used+1) > len(m.slots) {
+		old := m.slots
+		m.slots, m.shift = make([]memoSlot, 2*len(old)), m.shift-1
+		for _, s := range old {
+			if s.key != 0 {
+				i, _ := m.find(s.key)
+				m.slots[i] = s
+			}
+		}
+	}
+	i, _ := m.find(key)
+	m.slots[i] = memoSlot{key: key, cost: cost, target: target}
+	m.used++
 }

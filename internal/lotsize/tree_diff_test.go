@@ -1,0 +1,225 @@
+package lotsize
+
+import (
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// sameTreePlan requires two plans to agree bit for bit.
+func sameTreePlan(t *testing.T, label string, got, want *TreeSolution) {
+	t.Helper()
+	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("%s: cost %v (%#x), oracle %v (%#x)", label, got.Cost, math.Float64bits(got.Cost), want.Cost, math.Float64bits(want.Cost))
+	}
+	for v := range want.Produce {
+		if math.Float64bits(got.Produce[v]) != math.Float64bits(want.Produce[v]) ||
+			math.Float64bits(got.Inventory[v]) != math.Float64bits(want.Inventory[v]) ||
+			got.Setup[v] != want.Setup[v] {
+			t.Fatalf("%s: vertex %d: produce %v inventory %v setup %v, oracle %v %v %v", label, v,
+				got.Produce[v], got.Inventory[v], got.Setup[v], want.Produce[v], want.Inventory[v], want.Setup[v])
+		}
+	}
+}
+
+// randomShape draws a topologically ordered tree: a balanced scenario tree,
+// a deep chain, or a random recursive tree.
+func randomShape(rng *rand.Rand) []int {
+	switch rng.Intn(4) {
+	case 0:
+		branching := make([]int, 1+rng.Intn(4))
+		for i := range branching {
+			branching[i] = 1 + rng.Intn(3)
+		}
+		parent, _ := balancedTree(branching)
+		return parent
+	case 1:
+		n := 1 + rng.Intn(80)
+		parent := make([]int, n)
+		for v := range parent {
+			parent[v] = v - 1
+		}
+		return parent
+	default:
+		n := 1 + rng.Intn(50)
+		parent := make([]int, n)
+		parent[0] = -1
+		for v := 1; v < n; v++ {
+			// Favour recent vertices so paths get deep.
+			lo := v - 1 - rng.Intn(min(v, 4))
+			if rng.Intn(3) == 0 {
+				lo = rng.Intn(v)
+			}
+			parent[v] = lo
+		}
+		return parent
+	}
+}
+
+// stageProbs gives every vertex the absolute probability of a uniform
+// split at each branching.
+func stageProbs(parent []int) []float64 {
+	n := len(parent)
+	kids := make([]int, n)
+	for v := 1; v < n; v++ {
+		kids[parent[v]]++
+	}
+	prob := make([]float64, n)
+	prob[0] = 1
+	for v := 1; v < n; v++ {
+		prob[v] = prob[parent[v]] / float64(kids[parent[v]])
+	}
+	return prob
+}
+
+func TestSolveTreeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 4000; trial++ {
+		parent := randomShape(rng)
+		n := len(parent)
+		p := &TreeProblem{
+			Parent: parent,
+			Prob:   stageProbs(parent),
+			Setup:  make([]float64, n),
+			Unit:   make([]float64, n),
+			Hold:   make([]float64, n),
+			Demand: make([]float64, n),
+		}
+		depth := make([]int, n)
+		for v := 1; v < n; v++ {
+			depth[v] = depth[parent[v]] + 1
+		}
+		stageDemand := make([]float64, n)
+		for i := range stageDemand {
+			stageDemand[i] = rng.Float64() * 3
+		}
+		mode := trial % 4
+		// Small-integer costs on every other trial make exact cost ties
+		// common, so the tie-breaks are compared too.
+		integral := rng.Intn(2) == 0
+		for v := 0; v < n; v++ {
+			p.Setup[v] = rng.Float64() * 4
+			p.Unit[v] = rng.Float64() * 2
+			p.Hold[v] = rng.Float64()
+			if integral {
+				p.Setup[v] = float64(rng.Intn(3))
+				p.Unit[v] = float64(rng.Intn(2))
+				p.Hold[v] = float64(rng.Intn(2))
+			}
+			switch mode {
+			case 0: // stage-constant demand, the SRRP shape
+				p.Demand[v] = stageDemand[depth[v]]
+			case 1: // small integers: many duplicate cumD values
+				p.Demand[v] = float64(rng.Intn(3))
+			case 2: // decimals: paths summing to the same value often
+				// differ in the last bits (0.1+0.2 ≠ 0.3), inside the tolerance
+				p.Demand[v] = []float64{0.1, 0.2, 0.3, 0.7}[rng.Intn(4)]
+			default:
+				if rng.Intn(5) > 0 {
+					p.Demand[v] = rng.Float64() * 3
+				}
+			}
+		}
+		cumD := make([]float64, n)
+		for v := 0; v < n; v++ {
+			cumD[v] = p.Demand[v]
+			if v > 0 {
+				cumD[v] += cumD[parent[v]]
+			}
+		}
+		switch rng.Intn(4) {
+		case 0:
+			p.InitialInventory = cumD[rng.Intn(n)] // ε equal to some cumD
+		case 1:
+			p.InitialInventory = rng.Float64() * 4
+		case 2:
+			p.InitialInventory = 100 // covers every path
+		}
+		want, werr := solveTreeOracle(p)
+		got, err := SolveTree(p)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("trial %d: err %v, oracle err %v", trial, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		sameTreePlan(t, "trial", got, want)
+	}
+}
+
+func TestSolveTreeMatchesOracleOnLargeTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, branching := range [][]int{{4, 4, 4, 4}, {3, 3, 3, 3, 3}, {2, 2, 2, 2, 2, 2, 2}} {
+		parent, prob := balancedTree(branching)
+		for _, eps := range []float64{0, 1.5} {
+			p := fillTree(rng, parent, prob, eps)
+			want, err := solveTreeOracle(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SolveTree(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTreePlan(t, "large tree", got, want)
+		}
+	}
+}
+
+func TestTreeValidationNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(p *TreeProblem, x float64)
+	}{
+		{"prob", func(p *TreeProblem, x float64) { p.Prob[1] = x }},
+		{"setup", func(p *TreeProblem, x float64) { p.Setup[2] = x }},
+		{"unit", func(p *TreeProblem, x float64) { p.Unit[0] = x }},
+		{"hold", func(p *TreeProblem, x float64) { p.Hold[1] = x }},
+		{"demand", func(p *TreeProblem, x float64) { p.Demand[2] = x }},
+		{"initial inventory", func(p *TreeProblem, x float64) { p.InitialInventory = x }},
+	}
+	for _, f := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := &TreeProblem{
+				Parent: []int{-1, 0, 0},
+				Prob:   []float64{1, 0.5, 0.5},
+				Setup:  []float64{1, 1, 1},
+				Unit:   []float64{1, 1, 1},
+				Hold:   []float64{0.1, 0.1, 0.1},
+				Demand: []float64{1, 2, 3},
+			}
+			f.set(p, x)
+			sol, err := SolveTree(p)
+			if err == nil {
+				t.Errorf("%s = %v: no error (cost %v)", f.name, x, sol.Cost)
+				continue
+			}
+			if !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s = %v: error %q does not name the non-finite data", f.name, x, err)
+			}
+		}
+	}
+}
+
+// TestSolveTreeAllocations pins the allocation count of a solve on SRRP-
+// shaped trees (one demand per stage): a fixed handful, whatever the size,
+// where a map memo per vertex costs hundreds.
+func TestSolveTreeAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, branching := range [][]int{{3, 3, 3}, {4, 4, 4, 4}} {
+		parent, prob := balancedTree(branching)
+		p := fillTree(rng, parent, prob, 0)
+		for v := range p.Demand {
+			depth := 0
+			for u := v; u > 0; u = parent[u] {
+				depth++
+			}
+			p.Demand[v] = 0.4 + 0.1*float64(depth)
+		}
+		// Two work arrays, the target lists, the memo table and the plan.
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = SolveTree(p) }); allocs > 9 {
+			t.Errorf("%d vertices: %v allocations per solve, want at most 9", len(parent), allocs)
+		}
+	}
+}

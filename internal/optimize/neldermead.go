@@ -5,7 +5,7 @@ package optimize
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Options tunes the Nelder–Mead search. Zero value = defaults.
@@ -80,6 +80,24 @@ func Minimize(f func([]float64) float64, x0 []float64, opts Options) (Result, er
 	return Result{X: best, F: bestF, Evals: evals}, nil
 }
 
+// vertex is a simplex point and its objective value.
+type vertex struct {
+	x []float64
+	f float64
+}
+
+// byF orders vertices by objective value. It reports ties as 0, so the sort
+// visits and swaps exactly as a strict less-than would.
+func byF(a, b vertex) int {
+	switch {
+	case a.f < b.f:
+		return -1
+	case a.f > b.f:
+		return 1
+	}
+	return 0
+}
+
 func minimizeOnce(f func([]float64) float64, x0 []float64, opts Options, evals *int) Result {
 	dim := len(x0)
 	const (
@@ -88,10 +106,6 @@ func minimizeOnce(f func([]float64) float64, x0 []float64, opts Options, evals *
 		rho   = 0.5 // contraction
 		sigma = 0.5 // shrink
 	)
-	type vertex struct {
-		x []float64
-		f float64
-	}
 	eval := func(x []float64) float64 {
 		*evals++
 		v := f(x)
@@ -119,7 +133,7 @@ func minimizeOnce(f func([]float64) float64, x0 []float64, opts Options, evals *
 	xc := make([]float64, dim)
 
 	for *evals < opts.MaxEvals {
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
+		slices.SortFunc(simplex, byF)
 		// Convergence: objective spread and simplex diameter.
 		fSpread := simplex[dim].f - simplex[0].f
 		diam := 0.0
@@ -192,6 +206,6 @@ func minimizeOnce(f func([]float64) float64, x0 []float64, opts Options, evals *
 			}
 		}
 	}
-	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
+	slices.SortFunc(simplex, byF)
 	return Result{X: append([]float64(nil), simplex[0].x...), F: simplex[0].f, Evals: *evals}
 }
