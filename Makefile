@@ -76,6 +76,8 @@ bench-fleet:
 
 # Smoke-run the paper-reproduction hot-path benchmarks with allocation
 # counts: the tree DP on the largest reproduction tree and on the fleet
-# planner's 3-stage/branch-3 tree, and the ARIMA forecast-horizon study.
+# planner's 3-stage/branch-3 tree (serially and from every GOMAXPROCS
+# goroutine, sharing the pooled workspaces), and the ARIMA forecast-horizon
+# study.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkTreeDP(Large|Small)$$|BenchmarkExtensionForecastHorizons$$' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTreeDP(Large|Small|SmallParallel)$$|BenchmarkExtensionForecastHorizons$$' -benchmem -benchtime 1x .

@@ -690,6 +690,24 @@ func BenchmarkTreeDPLarge(b *testing.B) { benchTreeDP(b, treeDPProblem(b, 6, 4, 
 // times, so per-call set-up cost shows.
 func BenchmarkTreeDPSmall(b *testing.B) { benchTreeDP(b, treeDPProblem(b, 3, 3, true)) }
 
+// BenchmarkTreeDPSmallParallel solves the BenchmarkTreeDPSmall tree from
+// every GOMAXPROCS goroutine at once, so the pooled DP workspaces are taken
+// and returned concurrently.
+func BenchmarkTreeDPSmallParallel(b *testing.B) {
+	tp := treeDPProblem(b, 3, 3, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := lotsize.SolveTree(tp); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(tp.N()), "tree_vertices")
+}
+
 // BenchmarkAblationLShaped compares the L-shaped (Benders) decomposition of
 // the two-stage SRRP LP relaxation against solving the stacked extensive
 // form directly — the decomposition trade-off the paper cites (Birge [28]).
@@ -767,12 +785,14 @@ func BenchmarkExtensionCapacitySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkExtensionForecastHorizons runs the forecast-horizon study at the
+// report's horizon set, whose stride-12 horizons share their origins.
 func BenchmarkExtensionForecastHorizons(b *testing.B) {
 	cfg := quickCfg(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ForecastHorizonStudy(cfg, []int{1, 24}); err != nil {
+		if _, err := experiments.ForecastHorizonStudy(cfg, []int{1, 3, 6, 12, 24}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,50 +70,102 @@ func (r *BacktestResult) WinRate() float64 {
 
 // Backtest runs rolling-origin evaluation of the spec on xs.
 func Backtest(xs []float64, cfg BacktestConfig) (*BacktestResult, error) {
-	if cfg.Horizon <= 0 {
-		return nil, errors.New("arima: backtest needs a positive horizon")
+	res, errs := BacktestAll(xs, cfg, []int{cfg.Horizon}, []int{cfg.Stride})
+	return res[0], errs[0]
+}
+
+// BacktestAll backtests several (horizon, stride) pairs in one
+// rolling-origin walk that shares walk's Spec, Window and MinOrigin (its
+// Horizon and Stride are ignored). Pair i is horizons[i] with strides[i];
+// the two slices must be equally long. For each pair it returns what
+// Backtest would for walk with that Horizon and Stride. Each distinct origin
+// is fitted once, and forecasts once at the longest horizon due there; a
+// shorter horizon scores the prefix of that forecast, which is bit-identical
+// to forecasting it directly.
+func BacktestAll(xs []float64, walk BacktestConfig, horizons, strides []int) ([]*BacktestResult, []error) {
+	if len(strides) != len(horizons) {
+		panic(fmt.Sprintf("arima: BacktestAll got %d horizons but %d strides", len(horizons), len(strides)))
 	}
-	stride := cfg.Stride
-	if stride <= 0 {
-		stride = cfg.Horizon
+	res := make([]*BacktestResult, len(horizons))
+	errs := make([]error, len(horizons))
+	spec, window, first := walk.Spec, walk.Window, walk.MinOrigin
+	if first <= 0 {
+		first = max(window, 64)
 	}
-	origin := cfg.MinOrigin
-	if origin <= 0 {
-		origin = cfg.Window
-		if origin < 64 {
-			origin = 64
+	// next[i] is the next origin pair i evaluates, or −1 once it has none
+	// left (or was rejected).
+	next := make([]int, len(horizons))
+	for i, h := range horizons {
+		next[i] = -1
+		switch {
+		case h <= 0:
+			errs[i] = errors.New("arima: backtest needs a positive horizon")
+		case first+h > len(xs):
+			errs[i] = fmt.Errorf("arima: series too short for backtesting (%d points, first origin %d, horizon %d)",
+				len(xs), first, h)
+		default:
+			res[i] = &BacktestResult{}
+			next[i] = first
 		}
 	}
-	if origin >= len(xs)-cfg.Horizon {
-		return nil, fmt.Errorf("arima: series too short for backtesting (%d points, first origin %d, horizon %d)",
-			len(xs), origin, cfg.Horizon)
-	}
-	res := &BacktestResult{}
-	for ; origin+cfg.Horizon <= len(xs); origin += stride {
+	for {
+		// The earliest pending origin, and the longest horizon due there.
+		origin, h := -1, 0
+		for _, o := range next {
+			if o >= 0 && (origin < 0 || o < origin) {
+				origin = o
+			}
+		}
+		if origin < 0 {
+			break
+		}
+		for i, o := range next {
+			if o == origin {
+				h = max(h, horizons[i])
+			}
+		}
 		lo := 0
-		if cfg.Window > 0 && origin-cfg.Window > 0 {
-			lo = origin - cfg.Window
+		if window > 0 && origin-window > 0 {
+			lo = origin - window
 		}
 		hist := xs[lo:origin]
-		actual := xs[origin : origin+cfg.Horizon]
-		m, err := Fit(hist, cfg.Spec)
-		if err != nil {
-			res.Failures++
-			continue
+		var fc *Forecast
+		m, err := Fit(hist, spec)
+		if err == nil {
+			fc, err = m.Forecast(h)
 		}
-		fc, err := m.Forecast(cfg.Horizon)
-		if err != nil {
-			res.Failures++
-			continue
+		var naive []float64
+		if err == nil {
+			naive = MeanForecast(hist, h)
 		}
-		res.Origins = append(res.Origins, origin)
-		res.ModelMSPE = append(res.ModelMSPE, MSPE(fc.Mean, actual))
-		res.MeanMSPE = append(res.MeanMSPE, MSPE(MeanForecast(hist, cfg.Horizon), actual))
+		for i, o := range next {
+			if o != origin {
+				continue
+			}
+			hi, r := horizons[i], res[i]
+			if err != nil {
+				r.Failures++
+			} else {
+				actual := xs[origin : origin+hi]
+				r.Origins = append(r.Origins, origin)
+				r.ModelMSPE = append(r.ModelMSPE, MSPE(fc.Mean[:hi], actual))
+				r.MeanMSPE = append(r.MeanMSPE, MSPE(naive[:hi], actual))
+			}
+			stride := strides[i]
+			if stride <= 0 {
+				stride = hi
+			}
+			if next[i] = origin + stride; next[i]+hi > len(xs) {
+				next[i] = -1
+			}
+		}
 	}
-	if len(res.Origins) == 0 {
-		return nil, errors.New("arima: no backtest origin succeeded")
+	for i, r := range res {
+		if r != nil && len(r.Origins) == 0 {
+			res[i], errs[i] = nil, errors.New("arima: no backtest origin succeeded")
+		}
 	}
-	return res, nil
+	return res, errs
 }
 
 // HorizonStudy backtests the spec at several horizons and reports the
@@ -124,13 +176,13 @@ func HorizonStudy(xs []float64, spec Spec, window int, horizons []int) (map[int]
 	if len(horizons) == 0 {
 		return nil, errors.New("arima: no horizons")
 	}
+	res, errs := BacktestAll(xs, BacktestConfig{Spec: spec, Window: window}, horizons, make([]int, len(horizons)))
 	out := make(map[int]*BacktestResult, len(horizons))
-	for _, h := range horizons {
-		r, err := Backtest(xs, BacktestConfig{Spec: spec, Window: window, Horizon: h})
-		if err != nil {
-			return nil, fmt.Errorf("arima: horizon %d: %w", h, err)
+	for i, h := range horizons {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("arima: horizon %d: %w", h, errs[i])
 		}
-		out[h] = r
+		out[h] = res[i]
 	}
 	return out, nil
 }

@@ -1,6 +1,10 @@
 package arima
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // The reference CSS implementation the kernel in css.go replaced. It
 // allocates freely and is kept only as the oracle of the differential tests
@@ -90,4 +94,56 @@ func negate(b []float64) []float64 {
 		out[i] = -v
 	}
 	return out
+}
+
+// backtestOracle is the one-horizon rolling-origin loop that BacktestAll
+// replaced: it fits and forecasts every origin of its own walk. The only
+// change is the length check, which now accepts a series with exactly one
+// valid origin, as the loop always did. backtest_test.go requires
+// BacktestAll to match it bit for bit.
+func backtestOracle(xs []float64, cfg BacktestConfig) (*BacktestResult, error) {
+	if cfg.Horizon <= 0 {
+		return nil, errors.New("arima: backtest needs a positive horizon")
+	}
+	stride := cfg.Stride
+	if stride <= 0 {
+		stride = cfg.Horizon
+	}
+	origin := cfg.MinOrigin
+	if origin <= 0 {
+		origin = cfg.Window
+		if origin < 64 {
+			origin = 64
+		}
+	}
+	if origin+cfg.Horizon > len(xs) {
+		return nil, fmt.Errorf("arima: series too short for backtesting (%d points, first origin %d, horizon %d)",
+			len(xs), origin, cfg.Horizon)
+	}
+	res := &BacktestResult{}
+	for ; origin+cfg.Horizon <= len(xs); origin += stride {
+		lo := 0
+		if cfg.Window > 0 && origin-cfg.Window > 0 {
+			lo = origin - cfg.Window
+		}
+		hist := xs[lo:origin]
+		actual := xs[origin : origin+cfg.Horizon]
+		m, err := Fit(hist, cfg.Spec)
+		if err != nil {
+			res.Failures++
+			continue
+		}
+		fc, err := m.Forecast(cfg.Horizon)
+		if err != nil {
+			res.Failures++
+			continue
+		}
+		res.Origins = append(res.Origins, origin)
+		res.ModelMSPE = append(res.ModelMSPE, MSPE(fc.Mean, actual))
+		res.MeanMSPE = append(res.MeanMSPE, MSPE(MeanForecast(hist, cfg.Horizon), actual))
+	}
+	if len(res.Origins) == 0 {
+		return nil, errors.New("arima: no backtest origin succeeded")
+	}
+	return res, nil
 }

@@ -117,21 +117,20 @@ func ForecastHorizonStudy(cfg *Config, horizons []int) ([]HorizonPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []HorizonPoint
-	for _, h := range horizons {
-		stride := h
-		if stride < 12 {
-			stride = 12 // cap the number of refits; skill estimates stay stable
+	strides := make([]int, len(horizons))
+	for i, h := range horizons {
+		strides[i] = max(h, 12) // cap the number of refits; skill estimates stay stable
+	}
+	res, errs := arima.BacktestAll(series, arima.BacktestConfig{
+		Spec:   arima.Spec{P: 2, Q: 1, WithMean: true},
+		Window: cfg.HistDays * 24,
+	}, horizons, strides)
+	out := make([]HorizonPoint, 0, len(horizons))
+	for i, h := range horizons {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("experiments: horizon %d: %w", h, errs[i])
 		}
-		r, err := arima.Backtest(series, arima.BacktestConfig{
-			Spec:    arima.Spec{P: 2, Q: 1, WithMean: true},
-			Window:  cfg.HistDays * 24,
-			Horizon: h,
-			Stride:  stride,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: horizon %d: %w", h, err)
-		}
+		r := res[i]
 		out = append(out, HorizonPoint{
 			Horizon:     h,
 			Improvement: r.Improvement(),

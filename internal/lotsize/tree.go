@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // TreeProblem is stochastic uncapacitated lot-sizing on a scenario tree —
@@ -103,6 +104,7 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 	}
 	n := p.N()
 	d := newTreeDP(p)
+	defer d.release()
 	root := d.solve(0, d.epsRank)
 	if math.IsInf(root, 1) {
 		return nil, errors.New("lotsize: infeasible tree plan (internal error)")
@@ -120,7 +122,8 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 	// Reconstruct the plan by replaying the memoised decisions in
 	// topological order; yOut[v] is the supply Y leaving v, carried as the
 	// exact value the DP saw along that path.
-	// The two rows reuse h and rankOf, which the DP no longer reads.
+	// The two rows reuse h and rankOf, which the DP no longer reads; the
+	// plan itself is built in fresh slices, never in the pooled workspace.
 	yOut, yOutRank := d.h, d.rankOf
 	for v := 0; v < n; v++ {
 		y, yr := p.InitialInventory, d.epsRank
@@ -150,6 +153,11 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 // and ε has rank R unless it equals one of them.
 type treeDP struct {
 	p *TreeProblem
+	// fl, ix and tgtBuf back every row below; a pooled workspace keeps
+	// them, and the memo's slots, for the next solve.
+	fl     []float64
+	ix     []int32
+	tgtBuf []int32
 	// The children of v are kids[kidOff[v]:kidOff[v+1]], in index order.
 	kidOff, kids []int32
 	cumD         []float64
@@ -165,26 +173,58 @@ type treeDP struct {
 	memo        memoTable
 }
 
+// treeDPPool recycles SolveTree workspaces, so a solve allocates only the
+// plan it returns once the pool is warm. A pooled workspace keeps only
+// buffers: newTreeDP re-derives every row a solve reads, and release drops
+// the problem reference.
+var treeDPPool = sync.Pool{New: func() any { return new(treeDP) }}
+
+// newTreeDP takes a workspace from the pool and sets it up for p.
 func newTreeDP(p *TreeProblem) *treeDP {
+	d := treeDPPool.Get().(*treeDP)
+	d.reset(p)
+	return d
+}
+
+// maxPooledBytes caps the buffers a pooled workspace keeps. The largest
+// benchmark tree (6 stages, branch 4, per-vertex demands) needs about
+// 9.5 MiB and the reproduction's trees well under 1 MiB; a workspace grown
+// far beyond that by one huge tree is dropped, not recycled.
+const maxPooledBytes = 32 << 20
+
+// release returns the workspace to the pool, unless it outgrew
+// maxPooledBytes. The TreeSolution SolveTree builds shares no memory with
+// it.
+func (d *treeDP) release() {
+	d.p = nil
+	if d.footprint() <= maxPooledBytes {
+		treeDPPool.Put(d)
+	}
+}
+
+// footprint is the size in bytes of the buffers d keeps; a memo slot takes
+// 24.
+func (d *treeDP) footprint() int {
+	return 8*cap(d.fl) + 4*(cap(d.ix)+cap(d.tgtBuf)) + 24*(cap(d.memo.slots)+cap(d.memo.spare))
+}
+
+// reset prepares a (possibly recycled) workspace for one solve of p. Every
+// row is fully rewritten before the DP reads it, except kidOff, which is
+// counted into and so is cleared first.
+func (d *treeDP) reset(p *TreeProblem) {
 	n := p.N()
 	// Two backing arrays hold every per-vertex row; vals, which gains ε's
 	// rank at most, grows into the last n+1 floats.
-	fl := make([]float64, 4*n+1)
-	ix := make([]int32, 6*n)
-	d := &treeDP{
-		p:      p,
-		cumD:   fl[:n],
-		h:      fl[n : 2*n],
-		chat:   fl[2*n : 3*n],
-		vals:   fl[3*n : 3*n],
-		kidOff: ix[:n+1],
-		kids:   ix[n+1 : 2*n],
-		rankOf: ix[2*n : 3*n],
-		tgtOff: ix[3*n : 5*n],
-	}
+	d.fl = grow(d.fl, 4*n+1)
+	d.ix = grow(d.ix, 6*n)
+	fl, ix := d.fl, d.ix
+	d.p = p
+	d.cumD, d.h, d.chat, d.vals = fl[:n], fl[n:2*n], fl[2*n:3*n], fl[3*n:3*n]
+	d.kidOff, d.kids, d.rankOf, d.tgtOff = ix[:n+1], ix[n+1:2*n], ix[2*n:3*n], ix[3*n:5*n]
 	depth := ix[5*n:]
 
 	// Children in compressed sparse row form.
+	clear(d.kidOff)
 	for v := 1; v < n; v++ {
 		d.kidOff[p.Parent[v]+1]++
 	}
@@ -241,7 +281,8 @@ func newTreeDP(p *TreeProblem) *treeDP {
 	// Target lists, merged up from the children (reverse topological).
 	// The two merge rows live in the still-unused tail of tgt.
 	nr := len(d.vals)
-	d.tgt = make([]int32, 0, nTgt+2*nr)
+	d.tgtBuf = grow(d.tgtBuf, nTgt+2*nr)
+	d.tgt = d.tgtBuf[:0]
 	cur, spare := d.tgt[nTgt:nTgt:nTgt+nr], d.tgt[nTgt+nr:nTgt+nr:nTgt+2*nr]
 	for v := n - 1; v >= 0; v-- {
 		cur = append(cur[:0], d.rankOf[v])
@@ -255,7 +296,15 @@ func newTreeDP(p *TreeProblem) *treeDP {
 	}
 
 	d.memo.init(2 * n)
-	return d
+}
+
+// grow returns buf resliced to length n, reallocated only when its capacity
+// is short. The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func (d *treeDP) children(v int) []int32 { return d.kids[d.kidOff[v]:d.kidOff[v+1]] }
@@ -335,11 +384,13 @@ func mergeRanks(out, a, b []int32) []int32 {
 }
 
 // memoTable is an open-addressing hash map from DP state keys to decisions,
-// with linear probing and Fibonacci hashing.
+// with linear probing and Fibonacci hashing. It keeps two slot arrays: the
+// live table and the one it last grew out of, which the next growth or the
+// next init reuses when it is large enough.
 type memoTable struct {
-	slots []memoSlot
-	shift uint
-	used  int
+	slots, spare []memoSlot
+	shift        uint
+	used         int
 }
 
 type memoSlot struct {
@@ -348,13 +399,19 @@ type memoSlot struct {
 	target int32 // rank produced up to, or −1 for no production
 }
 
-// init empties the table and sizes it for capacity keys.
+// init empties the table and sizes it for capacity keys, clearing a prefix
+// of the larger retained array when that is big enough.
 func (m *memoTable) init(capacity int) {
 	size, shift := 16, uint(60)
 	for size < 2*capacity {
 		size, shift = 2*size, shift-1
 	}
-	m.slots, m.shift, m.used = make([]memoSlot, size), shift, 0
+	if cap(m.spare) > cap(m.slots) {
+		m.slots, m.spare = m.spare, m.slots
+	}
+	m.slots = grow(m.slots, size)
+	clear(m.slots)
+	m.shift, m.used = shift, 0
 }
 
 // find returns the slot holding key, or the empty slot where it belongs.
@@ -376,7 +433,8 @@ func (m *memoTable) find(key uint64) (int, bool) {
 func (m *memoTable) insert(key uint64, cost float64, target int32) {
 	if 2*(m.used+1) > len(m.slots) {
 		old := m.slots
-		m.slots, m.shift = make([]memoSlot, 2*len(old)), m.shift-1
+		m.slots, m.spare, m.shift = grow(m.spare, 2*len(old)), old, m.shift-1
+		clear(m.slots)
 		for _, s := range old {
 			if s.key != 0 {
 				i, _ := m.find(s.key)
