@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet bench-hotpath
+.PHONY: build test vet lint test-analysis race check loc bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet bench-hotpath
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ race:
 	$(GO) test -race ./...
 
 check: vet lint test-analysis race
+
+# The non-test Go line count of the committed tree (testdata excluded): the
+# figure the ROADMAP line-count gates are stated in.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v /testdata/ | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -91,23 +91,6 @@ func BuildSRRPTwoStage(par Params, tree *scenario.Tree, dem []float64) (*benders
 	return p, nil
 }
 
-// SolveSRRPTwoStageLShaped solves the two-stage LP relaxation by the
-// L-shaped method and returns the lower bound plus decomposition stats.
-func SolveSRRPTwoStageLShaped(par Params, tree *scenario.Tree, dem []float64, opts benders.Options) (*benders.Result, error) {
-	return SolveSRRPTwoStageLShapedCtx(context.Background(), par, tree, dem, opts)
-}
-
-// SolveSRRPTwoStageLShapedCtx is SolveSRRPTwoStageLShaped under a context,
-// threading ctx through every master and subproblem LP. A background context
-// is bit-identical to SolveSRRPTwoStageLShaped.
-func SolveSRRPTwoStageLShapedCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []float64, opts benders.Options) (*benders.Result, error) {
-	p, err := BuildSRRPTwoStage(par, tree, dem)
-	if err != nil {
-		return nil, err
-	}
-	return benders.SolveCtx(ctx, p, opts)
-}
-
 // SolveSRRPNestedLShaped solves the multistage LP relaxation of an SRRP
 // scenario tree by the nested L-shaped method (Birge's algorithm, the
 // paper's reference [28]). The returned Bound plus the transfer-out

@@ -64,10 +64,17 @@ func TestLShapedMatchesExtensiveFormAndBoundsMILP(t *testing.T) {
 	}
 }
 
+// TestSolveSRRPTwoStageLShapedWrapper drives the L-shaped ablation's path:
+// the SRRP two-stage wrapper problem (BuildSRRPTwoStage) solved by
+// benders.Solve.
 func TestSolveSRRPTwoStageLShapedWrapper(t *testing.T) {
 	par := DefaultParams(market.C1Medium)
 	tree := twoStageTree(t, 0.058)
-	res, err := SolveSRRPTwoStageLShaped(par, tree, []float64{0.4, 0.4}, benders.Options{MultiCut: true})
+	p, err := BuildSRRPTwoStage(par, tree, []float64{0.4, 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := benders.Solve(p, benders.Options{MultiCut: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,99 +233,10 @@ func RunDeterministic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
 // SRRP is solved, and the here-and-now stage decisions are executed. The
 // root state carries the known current spot price, so the current slot is
 // never out of bid; future stages hedge against the λ-priced out-of-bid
-// states.
+// states. A plan whose tree runs out before the stride does (Replan >
+// TreeStages+1) is re-planned at the first slot it no longer covers.
 func RunStochastic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(bids) != len(cfg.Demand) {
-		return nil, errors.New("core: bids length mismatch")
-	}
-	if cfg.Base.Len() == 0 {
-		return nil, errors.New("core: stochastic policy needs a base distribution")
-	}
-	lambda, err := cfg.Par.OnDemandRate()
-	if err != nil {
-		return nil, err
-	}
-	stride := cfg.Replan
-	if stride <= 0 {
-		stride = 1
-	}
-	lookahead := cfg.TreeStages
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	T := len(cfg.Demand)
-	var plan *StochasticPlan
-	var planStart int  // slot of the plan's root
-	var planPath []int // executed vertex path within the plan's tree
-	var degs []Degradation
-	replanAt := 0
-	replans := 0
-	out, outErr := execute(cfg, func(t int, inv float64) decision {
-		if t >= replanAt || plan == nil {
-			stages := lookahead
-			if t+stages >= T {
-				stages = T - 1 - t
-			}
-			replans++
-			if cfg.degradable() {
-				var rung DegradeRung
-				plan, rung = planStochasticLadder(context.Background(), cfg, bids, t, stages, inv)
-				if rung != RungFull {
-					degs = append(degs, Degradation{Slot: t, Rung: rung})
-				}
-				if plan == nil {
-					// Bottom rung: serve this slot just in time and retry
-					// planning at the next.
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
-			} else {
-				var err2 error
-				plan, err2 = planStochastic(context.Background(), cfg, bids, t, stages, inv)
-				if err2 != nil || plan == nil {
-					// Defensive fallback: just-in-time rental at the spot price.
-					plan = nil
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
-			}
-			planStart = t
-			planPath = []int{0}
-			replanAt = t + stride
-		}
-		// Advance along the tree path matching the realised prices.
-		k := t - planStart
-		for len(planPath) <= k {
-			v := planPath[len(planPath)-1]
-			next := matchChild(plan.Tree, v, cfg.Actual[planStart+len(planPath)], bids[planStart+len(planPath)], lambda)
-			if next < 0 {
-				// Horizon exhausted: force a replan at this slot.
-				plan = nil
-				replanAt = t
-				need := math.Max(0, cfg.Demand[t]-inv)
-				return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-			}
-			planPath = append(planPath, next)
-		}
-		v := planPath[k]
-		rate := cfg.Actual[t]
-		oob := false
-		if k > 0 && bids[t] < cfg.Actual[t] {
-			rate = lambda // recourse stage lost the auction
-			oob = true
-		}
-		return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: rate, outOfBid: oob}
-	})
-	if outErr == nil {
-		out.Replans = replans
-		out.Degradations = degs
-	}
-	return out, outErr
+	return runRolling(context.Background(), cfg, bids, false)
 }
 
 // planStochastic builds the bid-adjusted tree rooted at slot t and solves
@@ -360,7 +271,7 @@ func planStochastic(ctx context.Context, cfg *ExecConfig, bids []float64, t, sta
 // matchChild finds the child of v whose state corresponds to the realised
 // price: the out-of-bid child when the bid lost, otherwise the kept state
 // with the closest price.
-func matchChild(tr *scenario.Tree, v int, actual, bid, lambda float64) int {
+func matchChild(tr *scenario.Tree, v int, actual, bid float64) int {
 	best, bestDist := -1, math.Inf(1)
 	lost := bid < actual
 	for c := v + 1; c < tr.N(); c++ {

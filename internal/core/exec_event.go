@@ -1,12 +1,8 @@
 package core
 
-import (
-	"context"
-	"errors"
-	"math"
-)
+import "context"
 
-// This file implements the event-driven variant of the rolling stochastic
+// This file holds the event-driven variant of the rolling stochastic
 // executor. RunStochastic re-plans on a fixed stride regardless of what the
 // market did; at fleet scale that polling cadence is the bottleneck, because
 // the overwhelming majority of slots change nothing an ASP's plan depends
@@ -18,12 +14,12 @@ import (
 //   - the committed plan's lookahead is exhausted (the executed path reaches
 //     a leaf of the plan's tree).
 //
-// Every in-stride slot advances along the committed plan's tree via
-// matchChild — the same zero-solve path the serve layer's MatchChild exposes
-// per tenant — so slots between events cost no solves at all. On a trace
-// whose price never crosses the bid, the executor is bit-identical to
-// RunStochastic with Replan = TreeStages+1 (the plan is consumed exactly to
-// its horizon before the next solve), which the tests pin.
+// Both executors walk their plans through the same Roller (exec_rolling.go)
+// and differ only in this wake rule, so slots between events cost no solves
+// at all. On a trace whose price never crosses the bid, the executor is
+// bit-identical to RunStochastic with any Replan ≥ TreeStages+1 (a plan is
+// consumed exactly to its horizon before the next solve), which the tests
+// pin.
 
 // RunStochasticEvents evaluates the SRRP spot policy with price-trigger
 // re-plans instead of a fixed replan stride. ExecConfig.Replan is ignored;
@@ -39,116 +35,5 @@ func RunStochasticEvents(cfg *ExecConfig, bids []float64) (*Outcome, error) {
 // every remaining slot. With ctx == context.Background() the result is
 // bit-identical to RunStochasticEvents.
 func RunStochasticEventsCtx(ctx context.Context, cfg *ExecConfig, bids []float64) (*Outcome, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(bids) != len(cfg.Demand) {
-		return nil, errors.New("core: bids length mismatch")
-	}
-	if cfg.Base.Len() == 0 {
-		return nil, errors.New("core: stochastic policy needs a base distribution")
-	}
-	lambda, err := cfg.Par.OnDemandRate()
-	if err != nil {
-		return nil, err
-	}
-	lookahead := cfg.TreeStages
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	T := len(cfg.Demand)
-	var plan *StochasticPlan
-	var planStart int
-	var planPath []int
-	var degs []Degradation
-	replans := 0
-	aborted := false
-	jit := func(t int, inv float64) decision {
-		need := math.Max(0, cfg.Demand[t]-inv)
-		return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-	}
-	replan := func(t int, inv float64) bool {
-		stages := lookahead
-		if t+stages >= T {
-			stages = T - 1 - t
-		}
-		replans++
-		if cfg.degradable() {
-			var rung DegradeRung
-			plan, rung = planStochasticLadder(ctx, cfg, bids, t, stages, inv)
-			if rung != RungFull {
-				degs = append(degs, Degradation{Slot: t, Rung: rung})
-			}
-		} else {
-			var err2 error
-			plan, err2 = planStochastic(ctx, cfg, bids, t, stages, inv)
-			if err2 != nil {
-				plan = nil
-			}
-		}
-		if plan == nil {
-			return false
-		}
-		planStart = t
-		planPath = planPath[:0]
-		planPath = append(planPath, 0)
-		return true
-	}
-	out, outErr := execute(cfg, func(t int, inv float64) decision {
-		if aborted {
-			return jit(t, inv)
-		}
-		if ctx.Err() != nil {
-			// Cancellation: serve the remaining slots just in time without
-			// entering the ladder; the run is discarded below.
-			aborted = true
-			return jit(t, inv)
-		}
-		// A bid crossing flips the out-of-bid regime the committed plan's
-		// tree was built around: wake and re-plan from the realised state.
-		if t > 0 && (bids[t] < cfg.Actual[t]) != (bids[t-1] < cfg.Actual[t-1]) {
-			plan = nil
-		}
-		// Two attempts: the second handles a plan whose horizon is exhausted
-		// at this slot (re-planning roots the new tree here, so the path
-		// trivially covers the slot and the loop terminates).
-		for attempt := 0; attempt < 2; attempt++ {
-			if plan == nil && !replan(t, inv) {
-				return jit(t, inv)
-			}
-			exhausted := false
-			for len(planPath) <= t-planStart {
-				v := planPath[len(planPath)-1]
-				next := matchChild(plan.Tree, v, cfg.Actual[planStart+len(planPath)], bids[planStart+len(planPath)], lambda)
-				if next < 0 {
-					exhausted = true
-					break
-				}
-				planPath = append(planPath, next)
-			}
-			if !exhausted {
-				break
-			}
-			plan = nil
-		}
-		if plan == nil {
-			return jit(t, inv)
-		}
-		v := planPath[t-planStart]
-		rate := cfg.Actual[t]
-		oob := false
-		if t > planStart && bids[t] < cfg.Actual[t] {
-			rate = lambda
-			oob = true
-		}
-		return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: rate, outOfBid: oob}
-	})
-	if aborted {
-		return nil, ctx.Err()
-	}
-	if outErr == nil {
-		out.Replans = replans
-		out.Degradations = degs
-	}
-	return out, outErr
+	return runRolling(ctx, cfg, bids, true)
 }

@@ -18,8 +18,10 @@ func constantBids(T int, v float64) []float64 {
 }
 
 // On a trace the bid never loses (bid >= every realised price), the event
-// executor's only wake-ups are plan expiries, which land exactly on the
-// stride RunStochastic uses with Replan = TreeStages+1. The two executors
+// executor's only wake-ups are plan expiries, which land exactly where
+// RunStochastic re-plans with any Replan >= TreeStages+1: a stride of
+// TreeStages+1 expires as the tree runs out, and a longer one re-plans at
+// the first slot the exhausted tree no longer covers. The two executors
 // therefore solve the same subproblems from the same states and must agree
 // bit for bit.
 func TestEventsMatchesStrideOnCrossingFreeTrace(t *testing.T) {
@@ -30,24 +32,26 @@ func TestEventsMatchesStrideOnCrossingFreeTrace(t *testing.T) {
 			maxP = math.Max(maxP, p)
 		}
 		bids := constantBids(36, maxP+0.01)
-		strideCfg := *cfg
-		strideCfg.Replan = cfg.TreeStages + 1
-		want, err := RunStochastic(&strideCfg, bids)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := RunStochasticEvents(cfg, bids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cost != want.Cost {
-			t.Fatalf("seed %d: event cost %v != stride cost %v", seed, got.Cost, want.Cost)
-		}
-		if got.Replans != want.Replans {
-			t.Fatalf("seed %d: event replans %d != stride replans %d", seed, got.Replans, want.Replans)
-		}
-		if got.RentSlots != want.RentSlots || got.OutOfBidSlots != want.OutOfBidSlots {
-			t.Fatalf("seed %d: slot counters diverge: %+v vs %+v", seed, got, want)
+		for extra := 1; extra <= 3; extra++ {
+			strideCfg := *cfg
+			strideCfg.Replan = cfg.TreeStages + extra
+			want, err := RunStochastic(&strideCfg, bids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cost != want.Cost {
+				t.Fatalf("seed %d, stride %d: event cost %v != stride cost %v", seed, strideCfg.Replan, got.Cost, want.Cost)
+			}
+			if got.Replans != want.Replans {
+				t.Fatalf("seed %d, stride %d: event replans %d != stride replans %d", seed, strideCfg.Replan, got.Replans, want.Replans)
+			}
+			if got.RentSlots != want.RentSlots || got.OutOfBidSlots != want.OutOfBidSlots {
+				t.Fatalf("seed %d, stride %d: slot counters diverge: %+v vs %+v", seed, strideCfg.Replan, got, want)
+			}
 		}
 	}
 }

@@ -123,33 +123,6 @@ func planStochasticLadder(parent context.Context, cfg *ExecConfig, bids []float6
 	return nil, RungOnDemand
 }
 
-// planDeterministicLadder runs one rolling DRRP re-plan through the ladder.
-func planDeterministicLadder(parent context.Context, cfg *ExecConfig, prices, dem []float64, inv float64) (*Plan, DegradeRung) {
-	ctx, cancel, _ := cfg.planContext(parent)
-	defer cancel()
-	par := cfg.Par
-	par.Epsilon = inv
-	plan, err := SolveDRRPCtx(ctx, par, prices, dem)
-	if err == nil && plan != nil {
-		if !plan.Degraded {
-			return plan, RungFull
-		}
-		if plan.Gap <= cfg.maxDegradedGap() {
-			return plan, RungIncumbent
-		}
-	}
-	// Rung 3: drop the bottleneck constraint and solve the exact
-	// Wagner–Whitin DP on the same prices. The relaxation can under-produce
-	// against a binding capacity, but the executor's emergency correction
-	// keeps the realised schedule feasible.
-	par.Capacity = nil
-	par.ConsumptionRate = 0
-	if dp, err2 := SolveDRRP(par, prices, dem); err2 == nil {
-		return dp, RungDP
-	}
-	return nil, RungOnDemand
-}
-
 // fallbackStochasticChain is the ladder's rung-3 planner for the stochastic
 // policy: collapse the scenario tree to the expected effective price path —
 // stage k priced at E[p·1{p≤bid}] + λ·P(p>bid), exactly the per-state

@@ -75,32 +75,6 @@ func TestFaultInjectionWeekLongStochastic(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionDeterministicRolling exercises the deterministic rolling
-// executor's ladder the same way.
-func TestFaultInjectionDeterministicRolling(t *testing.T) {
-	const T = 72
-	cfg := execFixture(t, market.M1Large, T, 5)
-	cfg.Replan = 1
-	cfg.Faults = faults.New(11, faults.Config{StallEvery: 3})
-	bids := constants(T, stats.Mean(cfg.Base.Values))
-
-	out, err := RunDeterministicRolling(cfg, bids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isFiniteNonNeg(out.Cost) {
-		t.Fatalf("realised cost %v not finite non-negative", out.Cost)
-	}
-	if len(out.Degradations) == 0 {
-		t.Fatal("no degradations recorded despite injected stalls")
-	}
-	for _, d := range out.Degradations {
-		if d.Rung != RungDP && d.Rung != RungOnDemand {
-			t.Fatalf("slot %d: deterministic ladder produced rung %v, want dp or on-demand", d.Slot, d.Rung)
-		}
-	}
-}
-
 // TestBudgetWithoutFaultsIsTransparent arms the ladder with a generous
 // budget and no faults: every re-plan must stay at the full rung and the
 // outcome must match the unbudgeted run exactly.
@@ -144,7 +118,6 @@ func TestMatchChildBidBoundary(t *testing.T) {
 		Price:    []float64{0.04, 0.05, 0.12},
 		OutOfBid: []bool{false, false, true},
 	}
-	const lambda = 0.12
 	cases := []struct {
 		name        string
 		actual, bid float64
@@ -155,7 +128,7 @@ func TestMatchChildBidBoundary(t *testing.T) {
 		{"bid below price: out of bid", 0.0500001, 0.05, 2},
 	}
 	for _, tc := range cases {
-		if got := matchChild(tr, 0, tc.actual, tc.bid, lambda); got != tc.want {
+		if got := matchChild(tr, 0, tc.actual, tc.bid); got != tc.want {
 			t.Errorf("%s: matchChild(actual=%v, bid=%v) = %d, want %d",
 				tc.name, tc.actual, tc.bid, got, tc.want)
 		}
@@ -258,7 +231,9 @@ func TestCoreCtxCancellationPropagates(t *testing.T) {
 	if _, _, err := SolveSRRPNestedLShapedCtx(ctx, par, tr, dem[:2], benders.NestedOptions{}); err == nil {
 		t.Error("SolveSRRPNestedLShapedCtx ignored the canceled context")
 	}
-	if _, err := SolveSRRPTwoStageLShapedCtx(ctx, par, tr, dem[:2], benders.Options{}); err == nil {
-		t.Error("SolveSRRPTwoStageLShapedCtx ignored the canceled context")
+	if twoStage, err := BuildSRRPTwoStage(par, tr, dem[:2]); err != nil {
+		t.Error(err)
+	} else if _, err := benders.SolveCtx(ctx, twoStage, benders.Options{}); err == nil {
+		t.Error("benders.SolveCtx ignored the canceled context on the SRRP two-stage problem")
 	}
 }

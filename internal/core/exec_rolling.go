@@ -9,79 +9,152 @@ import (
 	"rentplan/internal/scenario"
 )
 
-// RunDeterministicRolling evaluates a rolling-horizon variant of the DRRP
-// spot policy: every Replan slots the deterministic plan is re-solved over
-// the remaining horizon with the current inventory as ε and the current
-// slot's price replaced by the observed spot price (the only information a
-// deterministic planner can fold in). It sits between RunDeterministic
-// (plan once) and RunStochastic (plan on distributions) and is used by the
-// rolling-stride ablation.
-func RunDeterministicRolling(cfg *ExecConfig, bids []float64) (*Outcome, error) {
+// Roller is the state of one rolling-horizon SRRP execution between
+// re-plans (Sec. V-C: "a revised plan is issued periodically"): the
+// committed plan, the slot its root stands for, the slot at which it
+// expires, and the vertex path executed so far through its scenario tree.
+// The batch executors (RunStochastic, RunStochasticEvents) and the serve
+// layer's per-tenant step requests all walk their plans through a Roller,
+// so every caller follows the same tree path for the same realised prices.
+// The zero value holds no plan.
+type Roller struct {
+	plan   *StochasticPlan
+	root   int
+	expiry int
+	path   []int // path[k] is the vertex executed at slot root+k; path[0] == 0
+}
+
+// Reset commits plan, rooted at slot root and serving slots up to
+// expiry-1. A nil plan clears the Roller, so the next Advance asks for a
+// re-plan. The path buffer is reused across resets.
+func (r *Roller) Reset(plan *StochasticPlan, root, expiry int) {
+	r.plan, r.root, r.expiry = plan, root, expiry
+	r.path = append(r.path[:0], 0)
+}
+
+// Plan returns the committed plan, or nil when there is none.
+func (r *Roller) Plan() *StochasticPlan { return r.plan }
+
+// Advance returns the plan vertex executed at slot, extending the path
+// along the child that matches the realised price (actual against bid) for
+// every slot not walked yet. It returns -1, meaning the caller must
+// re-plan, when there is no plan, slot lies outside [root, expiry), or the
+// plan's horizon is exhausted before slot.
+func (r *Roller) Advance(slot int, actual, bid float64) int {
+	if r.plan == nil || slot < r.root || slot >= r.expiry {
+		return -1
+	}
+	k := slot - r.root
+	for len(r.path) <= k {
+		next := matchChild(r.plan.Tree, r.path[len(r.path)-1], actual, bid)
+		if next < 0 {
+			return -1
+		}
+		r.path = append(r.path, next)
+	}
+	return r.path[k]
+}
+
+// runRolling is the rolling-horizon SRRP executor behind RunStochastic and
+// RunStochasticEventsCtx. A committed plan is walked through a Roller and a
+// new SRRP is solved from the realised state whenever the Roller asks for
+// one: on expiry (root+Replan) or horizon exhaustion, and — when
+// onCrossing is set — at every slot where the realised price crosses the
+// bid, in which case plans never expire on the clock. Each re-plan takes
+// the degradation ladder when it is armed and the historical
+// error → just-in-time path otherwise. A ctx cancellation aborts the run
+// with ctx's error.
+func runRolling(ctx context.Context, cfg *ExecConfig, bids []float64, onCrossing bool) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(bids) != len(cfg.Demand) {
 		return nil, errors.New("core: bids length mismatch")
 	}
+	if cfg.Base.Len() == 0 {
+		return nil, errors.New("core: stochastic policy needs a base distribution")
+	}
 	lambda, err := cfg.Par.OnDemandRate()
 	if err != nil {
 		return nil, err
 	}
+	T := len(cfg.Demand)
 	stride := cfg.Replan
 	if stride <= 0 {
 		stride = 1
 	}
-	T := len(cfg.Demand)
-	var plan *Plan
+	if onCrossing || stride > T {
+		stride = T // the plan never expires before the horizon ends
+	}
+	lookahead := cfg.TreeStages
+	if lookahead < 0 {
+		lookahead = 0
+	}
+	var roll Roller
 	var degs []Degradation
-	planStart := 0
-	replanAt := 0
 	replans := 0
+	aborted := false
 	out, outErr := execute(cfg, func(t int, inv float64) decision {
-		if t >= replanAt || plan == nil {
-			prices := append([]float64(nil), bids[t:]...)
-			prices[0] = cfg.Actual[t] // the current price is known
+		if aborted || ctx.Err() != nil {
+			// Cancellation: serve the remaining slots just in time without
+			// entering the ladder; the run is discarded below.
+			aborted = true
+			return justInTime(cfg, t, inv)
+		}
+		// A bid crossing flips the out-of-bid regime the committed plan's
+		// tree was built around: wake and re-plan from the realised state.
+		if onCrossing && t > 0 && (bids[t] < cfg.Actual[t]) != (bids[t-1] < cfg.Actual[t-1]) {
+			roll.Reset(nil, t, t)
+		}
+		v := roll.Advance(t, cfg.Actual[t], bids[t])
+		if v < 0 {
+			stages := lookahead
+			if t+stages >= T {
+				stages = T - 1 - t
+			}
 			replans++
+			var plan *StochasticPlan
 			if cfg.degradable() {
 				var rung DegradeRung
-				plan, rung = planDeterministicLadder(context.Background(), cfg, prices, cfg.Demand[t:T], inv)
+				plan, rung = planStochasticLadder(ctx, cfg, bids, t, stages, inv)
 				if rung != RungFull {
 					degs = append(degs, Degradation{Slot: t, Rung: rung})
 				}
-				if plan == nil {
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
-			} else {
-				par := cfg.Par
-				par.Epsilon = inv
-				var err2 error
-				plan, err2 = SolveDRRP(par, prices, cfg.Demand[t:T])
-				if err2 != nil {
-					plan = nil
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
+			} else if p, err := planStochastic(ctx, cfg, bids, t, stages, inv); err == nil {
+				plan = p
 			}
-			planStart = t
-			replanAt = t + stride
+			roll.Reset(plan, t, t+stride)
+			if plan == nil {
+				// Bottom rung or failed solve: serve this slot just in time
+				// and retry planning at the next.
+				return justInTime(cfg, t, inv)
+			}
+			v = 0
 		}
-		k := t - planStart
+		plan := roll.Plan()
 		rate := cfg.Actual[t]
 		oob := false
-		if k > 0 && bids[t] < cfg.Actual[t] {
-			rate = lambda
+		if v > 0 && bids[t] < cfg.Actual[t] {
+			rate = lambda // recourse stage lost the auction
 			oob = true
 		}
-		return decision{rent: plan.Chi[k], alpha: plan.Alpha[k], payRate: rate, outOfBid: oob}
+		return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: rate, outOfBid: oob}
 	})
+	if aborted {
+		return nil, ctx.Err()
+	}
 	if outErr == nil {
 		out.Replans = replans
 		out.Degradations = degs
 	}
 	return out, outErr
+}
+
+// justInTime rents for slot t exactly the demand the inventory cannot
+// cover, at the realised spot price.
+func justInTime(cfg *ExecConfig, t int, inv float64) decision {
+	need := math.Max(0, cfg.Demand[t]-inv)
+	return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
 }
 
 // EvaluateStochasticPlanMC estimates the out-of-sample expected cost of a

@@ -8,41 +8,6 @@ import (
 	"rentplan/internal/stats"
 )
 
-func TestRunDeterministicRollingBeatsStatic(t *testing.T) {
-	// Rolling re-planning folds in observed prices and inventory, so summed
-	// over several windows it should not lose to the plan-once variant.
-	var staticSum, rollingSum float64
-	for seed := int64(1); seed <= 5; seed++ {
-		cfg := execFixture(t, market.C1Medium, 24, seed*31)
-		bids := constants(24, stats.Mean(cfg.Base.Values))
-		st, err := RunDeterministic(cfg, bids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Replan = 1
-		ro, err := RunDeterministicRolling(cfg, bids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staticSum += st.Cost
-		rollingSum += ro.Cost
-	}
-	if rollingSum > staticSum*1.02 {
-		t.Fatalf("rolling (%v) much worse than static (%v)", rollingSum, staticSum)
-	}
-}
-
-func TestRunDeterministicRollingValidation(t *testing.T) {
-	cfg := execFixture(t, market.C1Medium, 12, 3)
-	if _, err := RunDeterministicRolling(cfg, nil); err == nil {
-		t.Fatal("want bids error")
-	}
-	bad := &ExecConfig{Par: DefaultParams(market.C1Medium)}
-	if _, err := RunDeterministicRolling(bad, nil); err == nil {
-		t.Fatal("want config error")
-	}
-}
-
 func TestEvaluateStochasticPlanMCMatchesExpCost(t *testing.T) {
 	par := DefaultParams(market.C1Medium)
 	tr := srrpTree(t, 4, 0.060)

@@ -54,17 +54,3 @@ func PlanStochasticStepCtx(ctx context.Context, cfg *ExecConfig, bids []float64,
 	plan, rung := planStochasticLadder(ctx, cfg, bids, t, stages, inv)
 	return plan, rung, nil
 }
-
-// MatchChild returns the child of vertex v in the plan's tree whose state
-// corresponds to the realised price: the out-of-bid child when bid < actual,
-// otherwise the kept state with the closest price; -1 when v has no
-// children (the plan's horizon is exhausted and the caller must re-plan).
-// It lets a caller that executes a plan slot by slot — the serve layer's
-// per-tenant rolling replans — advance along the same tree path the batch
-// executor would follow.
-func (p *StochasticPlan) MatchChild(v int, actual, bid, lambda float64) int {
-	if p == nil || p.Tree == nil || v < 0 || v >= p.Tree.N() {
-		return -1
-	}
-	return matchChild(p.Tree, v, actual, bid, lambda)
-}

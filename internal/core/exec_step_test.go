@@ -51,18 +51,6 @@ func TestPlanStochasticStepMatchesBatch(t *testing.T) {
 		}
 	}
 
-	// MatchChild must agree with the unexported tree walker.
-	lambda, _ := cfg.Par.OnDemandRate()
-	if got, want := plan.MatchChild(0, 0.058, bids[1], lambda), matchChild(plan.Tree, 0, 0.058, bids[1], lambda); got != want {
-		t.Fatalf("MatchChild = %d, want %d", got, want)
-	}
-	if plan.MatchChild(plan.Tree.N()-1, 0.06, bids[1], lambda) != -1 {
-		t.Fatal("leaf must have no child")
-	}
-	var nilPlan *StochasticPlan
-	if nilPlan.MatchChild(0, 0.06, 0.06, lambda) != -1 {
-		t.Fatal("nil plan must return -1")
-	}
 }
 
 // TestPlanStochasticStepThreadsContext proves the request context actually

@@ -272,11 +272,6 @@ type Solution struct {
 	// the periodic primal refresh, post-eviction refreshes, and eta-stack
 	// collapses of the dual path.
 	Refactorizations int
-	// PresolveRows and PresolveCols count the constraint rows and variables
-	// eliminated by the presolve pass (Options.Presolve); zero when
-	// presolve is disabled or eliminated nothing.
-	PresolveRows int
-	PresolveCols int
 }
 
 // Options tunes the solver. The zero value selects sensible defaults.
@@ -298,18 +293,6 @@ type Options struct {
 	// primal phase 1 exactly as in earlier releases. The switch exists for
 	// A/B benchmarking and for isolating dual-path regressions.
 	NoDual bool
-	// Presolve enables the presolve + geometric-mean scaling pass on the
-	// Solve/SolveWithOptions/SolveCtx path: empty, singleton and redundant
-	// rows are eliminated, fixed variables substituted out, and the reduced
-	// problem scaled by powers of two before the simplex runs. Postsolve
-	// maps X, Duals and FarkasRay back to the original space, so callers
-	// see original-space solutions; certificates (infeasibility,
-	// unboundedness) are re-derived by an unreduced cold solve whenever the
-	// postsolved certificate does not verify, so they are exactly as
-	// trustworthy as without presolve. Basis snapshots are suppressed when
-	// rows or columns were eliminated (the snapshot would not match the
-	// caller's problem shape); SolveFrom/SolveFromCtx ignore this option.
-	Presolve bool
 }
 
 // Resolved returns the options with every zero field replaced by its default
@@ -356,19 +339,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
 	}
 	opts = opts.withDefaults(p.NumRows(), p.NumVars())
-	if opts.Presolve {
-		return solvePresolved(ctx, p, opts)
-	}
-	s := newSimplex(p, opts)
-	s.ctx = ctx
-	sol, err := s.solve()
-	s.release()
-	return sol, err
-}
-
-// solveReduced is the presolve-free core solve, shared by the plain path
-// and the reduced-problem solve inside solvePresolved.
-func solveReduced(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	s := newSimplex(p, opts)
 	s.ctx = ctx
 	sol, err := s.solve()

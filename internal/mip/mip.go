@@ -366,10 +366,6 @@ func newBnB(ctx context.Context, p *Problem, opts Options) *bnb {
 	// MaxIter reaches every node identically on both the warm and the cold
 	// dispatch paths, instead of being re-defaulted per node.
 	b.lpOpts = opts.LP.Resolved(p.LP.NumRows(), n)
-	// Presolve would suppress the basis snapshots the warm-start machinery
-	// feeds on (and reshape the node LPs), so node relaxations always run
-	// unreduced regardless of the caller's LP options.
-	b.lpOpts.Presolve = false
 	b.cond = sync.NewCond(&b.mu)
 	b.incBits.Store(math.Float64bits(math.Inf(1)))
 	b.psUp = make([]atomicFloat64, n)

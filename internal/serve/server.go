@@ -278,25 +278,24 @@ func (s *Server) solveSRRP(ctx context.Context, req *PlanRequest, budget time.Du
 
 func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Duration) (*PlanResponse, error) {
 	par := req.params()
-	lambda, err := par.OnDemandRate()
-	if err != nil {
-		return nil, err
-	}
+	T := len(req.Demand)
 	stride := req.Replan
 	if stride <= 0 {
 		stride = 1
 	}
+	stride = min(stride, T) // a stride past the horizon is the horizon; slot+stride cannot overflow
 	tn := s.tenants.get(req.Tenant)
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
 
 	// Warm path: serve the slot from the tenant's previous plan when it is
 	// still inside the rolling stride and the realised price maps onto the
-	// plan's tree.
-	if v := tn.decisionFromPlan(req.Slot, stride, req.RootPrice, req.Bid, lambda); v >= 0 {
+	// plan's tree. Slots skipped since the last request are walked with this
+	// request's price.
+	if v := tn.roll.Advance(req.Slot, req.RootPrice, req.Bid); v >= 0 {
 		s.mPlanReuse.Inc()
 		s.countPlan(req.Model, core.RungFull)
-		plan := tn.plan
+		plan := tn.roll.Plan()
 		rent, gen := plan.Chi[v], plan.Alpha[v]
 		return &PlanResponse{
 			Tenant: req.Tenant, Model: req.Model,
@@ -307,7 +306,6 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		}, nil
 	}
 
-	T := len(req.Demand)
 	cfg := &core.ExecConfig{
 		Par:        par,
 		Actual:     constants(T, req.RootPrice),
@@ -336,6 +334,7 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		return nil, err
 	}
 	s.countPlan(req.Model, rung)
+	tn.roll.Reset(plan, req.Slot, req.Slot+stride)
 	if plan == nil {
 		// Bottom rung: just-in-time rental for this slot.
 		need := req.Demand[req.Slot] - req.Inventory
@@ -349,7 +348,6 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		}, nil
 	}
 	s.recordMIP(plan.Stats)
-	tn.resetPlan(plan, req.Slot)
 	if plan.RootBasis != nil {
 		tn.basis, tn.basisFor = plan.RootBasis, uint64(stages)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // tenant holds the rolling-horizon state of one application between step
-// requests: the previous stochastic plan with the executed path through its
-// tree, and the last MILP root basis for warm-starting the next re-plan.
+// requests: the committed stochastic plan walked through a core.Roller (the
+// same walk the batch executors use), and the last MILP root basis for
+// warm-starting the next re-plan.
 // All fields are guarded by mu; a tenant's requests are serialised on it,
 // so two concurrent requests for the same tenant cannot interleave their
 // read-modify-write of the plan state (they queue, in arrival order at the
@@ -17,11 +18,9 @@ import (
 type tenant struct {
 	mu sync.Mutex
 
-	// plan is the last stochastic plan; planStart its root slot; path the
-	// vertex path executed so far (path[0] == 0, the root).
-	plan      *core.StochasticPlan
-	planStart int
-	path      []int
+	// roll holds the committed plan, its root slot, its expiry (root plus
+	// the stride of the request that planned it) and the executed path.
+	roll core.Roller
 
 	// basis is the root basis of the tenant's last capacitated re-plan,
 	// fed back through Params.Solver.RootBasis on the next one. The MILP
@@ -57,37 +56,4 @@ func (ts *tenants) len() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return len(ts.m)
-}
-
-// decisionFromPlan tries to serve the decision for slot t from the
-// tenant's current plan without a new solve: the plan must be rooted at or
-// before t, within the rolling stride, and the realised prices must map
-// onto a tree path (MatchChild at every slot since the root). It returns
-// the plan vertex for slot t, or -1 when a re-plan is needed. Callers hold
-// t.mu.
-func (t *tenant) decisionFromPlan(slot, stride int, actual, bid, lambda float64) int {
-	if t.plan == nil || slot < t.planStart || slot >= t.planStart+stride {
-		return -1
-	}
-	k := slot - t.planStart
-	for len(t.path) <= k {
-		v := t.path[len(t.path)-1]
-		// Every intermediate slot advances with the same realised price the
-		// request reports for the current slot's root; in the common
-		// one-slot stride the loop runs at most once.
-		next := t.plan.MatchChild(v, actual, bid, lambda)
-		if next < 0 {
-			return -1 // horizon exhausted: force a re-plan
-		}
-		t.path = append(t.path, next)
-	}
-	return t.path[k]
-}
-
-// resetPlan installs a fresh plan rooted at slot.
-func (t *tenant) resetPlan(plan *core.StochasticPlan, slot int) {
-	t.plan = plan
-	t.planStart = slot
-	t.path = t.path[:0]
-	t.path = append(t.path, 0)
 }
