@@ -82,7 +82,8 @@ bench-fleet:
 # Smoke-run the paper-reproduction hot-path benchmarks with allocation
 # counts: the tree DP on the largest reproduction tree and on the fleet
 # planner's 3-stage/branch-3 tree (serially and from every GOMAXPROCS
-# goroutine, sharing the pooled workspaces), and the ARIMA forecast-horizon
-# study.
+# goroutine, sharing the pooled workspaces), one 24-slot rolling-horizon
+# day of SRRP re-plans at the reproduction's 5/4 tree shape, and the ARIMA
+# forecast-horizon study.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkTreeDP(Large|Small|SmallParallel)$$|BenchmarkExtensionForecastHorizons$$' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTreeDP(Large|Small|SmallParallel)$$|BenchmarkRollingReplan$$|BenchmarkExtensionForecastHorizons$$' -benchmem -benchtime 1x .

@@ -708,6 +708,44 @@ func BenchmarkTreeDPSmallParallel(b *testing.B) {
 	b.ReportMetric(float64(tp.N()), "tree_vertices")
 }
 
+// BenchmarkRollingReplan runs one sto-exp-mean day of the reproduction's
+// Fig. 12(a) policy: RunStochastic re-plans SRRP at every one of 24 slots on
+// a 5-stage, branch-4 tree built from a 60-day history of the reference
+// m1.large trace, so each operation is 24 tree builds, validations, DP
+// solves and plan assemblies.
+func BenchmarkRollingReplan(b *testing.B) {
+	const histDays, evalDay, T = 60, 120, 24
+	traces, err := market.ReferenceTraces()
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, err := traces[market.M1Large].Hourly(float64((evalDay-histDays)*24), (histDays+1)*24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hist, eval := all[:histDays*24], all[histDays*24:]
+	cfg := &core.ExecConfig{
+		Par:        core.DefaultParams(market.M1Large),
+		Actual:     eval[:T],
+		Demand:     demand.Series(demand.NewTruncNormal(0.4, 0.2, 4012), T),
+		Base:       stats.NewDiscreteFromSamples(hist, 1e-3),
+		TreeStages: 5,
+		MaxBranch:  4,
+	}
+	bids := arima.MeanForecast(hist, T)
+	var replans int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := core.RunStochastic(cfg, bids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replans = out.Replans
+	}
+	b.ReportMetric(float64(replans), "replans/op")
+}
+
 // BenchmarkAblationLShaped compares the L-shaped (Benders) decomposition of
 // the two-stage SRRP LP relaxation against solving the stacked extensive
 // form directly — the decomposition trade-off the paper cites (Birge [28]).

@@ -21,19 +21,12 @@ import "context"
 // consumed exactly to its horizon before the next solve), which the tests
 // pin.
 
-// RunStochasticEvents evaluates the SRRP spot policy with price-trigger
+// RunStochasticEventsCtx evaluates the SRRP spot policy with price-trigger
 // re-plans instead of a fixed replan stride. ExecConfig.Replan is ignored;
 // everything else (budget ladder, faults, tree shape) behaves as in
-// RunStochastic.
-func RunStochasticEvents(cfg *ExecConfig, bids []float64) (*Outcome, error) {
-	return RunStochasticEventsCtx(context.Background(), cfg, bids)
-}
-
-// RunStochasticEventsCtx is RunStochasticEvents under a caller context: each
-// re-plan solve runs under ctx (layered with cfg.Budget when set), and a
-// cancellation aborts the run with ctx's error instead of silently degrading
-// every remaining slot. With ctx == context.Background() the result is
-// bit-identical to RunStochasticEvents.
+// RunStochastic. Each re-plan solve runs under ctx (layered with cfg.Budget
+// when set), and a cancellation aborts the run with ctx's error instead of
+// silently degrading every remaining slot.
 func RunStochasticEventsCtx(ctx context.Context, cfg *ExecConfig, bids []float64) (*Outcome, error) {
 	return runRolling(ctx, cfg, bids, true)
 }

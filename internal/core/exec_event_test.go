@@ -32,7 +32,7 @@ func TestEventsMatchesStrideOnCrossingFreeTrace(t *testing.T) {
 			maxP = math.Max(maxP, p)
 		}
 		bids := constantBids(36, maxP+0.01)
-		got, err := RunStochasticEvents(cfg, bids)
+		got, err := RunStochasticEventsCtx(context.Background(), cfg, bids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestEventsReplansOnCrossings(t *testing.T) {
 	if crossings == 0 {
 		t.Skip("trace never crosses the midpoint bid")
 	}
-	out, err := RunStochasticEvents(cfg, bids)
+	out, err := RunStochasticEventsCtx(context.Background(), cfg, bids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,18 @@ func TestEventsCancellation(t *testing.T) {
 	}
 }
 
+// TestEventsBackgroundMatchesPlain requires a live context that is never
+// canceled to leave the run exactly as under context.Background().
 func TestEventsBackgroundMatchesPlain(t *testing.T) {
 	cfg := execFixture(t, market.M1Large, 30, 5)
 	bids := constantBids(30, stats.Mean(cfg.Base.Values))
-	a, err := RunStochasticEvents(cfg, bids)
+	a, err := RunStochasticEventsCtx(context.Background(), cfg, bids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStochasticEventsCtx(context.Background(), cfg, bids)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := RunStochasticEventsCtx(ctx, cfg, bids)
 	if err != nil {
 		t.Fatal(err)
 	}

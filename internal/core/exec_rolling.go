@@ -13,7 +13,7 @@ import (
 // re-plans (Sec. V-C: "a revised plan is issued periodically"): the
 // committed plan, the slot its root stands for, the slot at which it
 // expires, and the vertex path executed so far through its scenario tree.
-// The batch executors (RunStochastic, RunStochasticEvents) and the serve
+// The batch executors (RunStochastic, RunStochasticEventsCtx) and the serve
 // layer's per-tenant step requests all walk their plans through a Roller,
 // so every caller follows the same tree path for the same realised prices.
 // The zero value holds no plan.

@@ -81,17 +81,19 @@ func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []fl
 		return solveSRRPMILP(ctx, par, tree, dem)
 	}
 	n := tree.N()
+	rows := make([]float64, 3*n)
+	unit, hold := par.UnitGenCost(), par.HoldingCost()
+	for v := 0; v < n; v++ {
+		rows[v], rows[n+v], rows[2*n+v] = unit, hold, dem[tree.Stage[v]]
+	}
 	tp := &lotsize.TreeProblem{
 		Parent:           tree.Parent,
 		Prob:             tree.Prob,
 		Setup:            tree.Price,
-		Unit:             constants(n, par.UnitGenCost()),
-		Hold:             constants(n, par.HoldingCost()),
-		Demand:           make([]float64, n),
+		Unit:             rows[:n:n],
+		Hold:             rows[n : 2*n : 2*n],
+		Demand:           rows[2*n:],
 		InitialInventory: par.Epsilon,
-	}
-	for v := 0; v < n; v++ {
-		tp.Demand[v] = dem[tree.Stage[v]]
 	}
 	sol, err := lotsize.SolveTree(tp)
 	if err != nil {
@@ -100,25 +102,24 @@ func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []fl
 	return assembleStochasticPlan(par, tree, dem, sol.Produce, sol.Inventory, sol.Setup), nil
 }
 
+// assembleStochasticPlan prices the per-vertex decisions of tree into a
+// plan. The plan takes ownership of alpha, beta and chi: every caller
+// passes rows it made for this plan and keeps no other reference.
 func assembleStochasticPlan(par Params, tree *scenario.Tree, dem []float64, alpha, beta []float64, chi []bool) *StochasticPlan {
-	p := &StochasticPlan{
-		Tree:  tree,
-		Alpha: append([]float64(nil), alpha...),
-		Beta:  append([]float64(nil), beta...),
-		Chi:   append([]bool(nil), chi...),
-	}
+	p := &StochasticPlan{Tree: tree, Alpha: alpha, Beta: beta, Chi: chi}
+	unit, hold, out := par.UnitGenCost(), par.HoldingCost(), par.Pricing.TransferOutPerGB
 	for v := 0; v < tree.N(); v++ {
 		pv := tree.Prob[v]
-		if p.Chi[v] {
+		if chi[v] {
 			p.Breakdown.Compute += pv * tree.Price[v]
 		}
-		p.Breakdown.TransferIn += pv * par.UnitGenCost() * p.Alpha[v]
-		p.Breakdown.Holding += pv * par.HoldingCost() * p.Beta[v]
-		p.Breakdown.TransferOut += pv * par.Pricing.TransferOutPerGB * dem[tree.Stage[v]]
+		p.Breakdown.TransferIn += pv * unit * alpha[v]
+		p.Breakdown.Holding += pv * hold * beta[v]
+		p.Breakdown.TransferOut += pv * out * dem[tree.Stage[v]]
 	}
 	p.ExpCost = p.Breakdown.Total()
-	p.RootRent = p.Chi[0]
-	p.RootAlpha = p.Alpha[0]
+	p.RootRent = chi[0]
+	p.RootAlpha = alpha[0]
 	return p
 }
 

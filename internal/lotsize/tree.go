@@ -262,11 +262,22 @@ func (d *treeDP) reset(p *TreeProblem) {
 		d.chat[v] = p.Prob[v]*p.Unit[v] + d.h[v]
 	}
 
-	// Ranks of the supply levels.
-	d.vals = append(d.vals, d.cumD...)
+	// Ranks of the supply levels. A vertex whose cumD equals its
+	// predecessor's adds no value and takes the predecessor's rank: in a
+	// breadth-first tree with one demand per stage, each stage is one such
+	// run, so only a handful of values are sorted and searched.
+	for v := 0; v < n; v++ {
+		if v == 0 || d.cumD[v] != d.cumD[v-1] { //lint:ignore rentlint/floatcmp exact equality is intended: Compact merges only equal values, so only they share a rank
+			d.vals = append(d.vals, d.cumD[v])
+		}
+	}
 	slices.Sort(d.vals)
 	d.vals = slices.Compact(d.vals)
 	for v := 0; v < n; v++ {
+		if v > 0 && d.cumD[v] == d.cumD[v-1] { //lint:ignore rentlint/floatcmp exact equality is intended: an equal value has the equal rank, any other is searched
+			d.rankOf[v] = d.rankOf[v-1]
+			continue
+		}
 		r, _ := slices.BinarySearch(d.vals, d.cumD[v])
 		d.rankOf[v] = int32(r)
 	}
@@ -295,7 +306,7 @@ func (d *treeDP) reset(p *TreeProblem) {
 		d.tgtOff[2*v+1] = int32(len(d.tgt))
 	}
 
-	d.memo.init(2 * n)
+	d.memo.init(2*n, uint64(n)*d.nRank)
 }
 
 // grow returns buf resliced to length n, reallocated only when its capacity
@@ -383,14 +394,20 @@ func mergeRanks(out, a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
-// memoTable is an open-addressing hash map from DP state keys to decisions,
-// with linear probing and Fibonacci hashing. It keeps two slot arrays: the
-// live table and the one it last grew out of, which the next growth or the
-// next init reuses when it is large enough.
+// memoTable maps DP state keys to decisions. It has two ways to index its
+// slot array. When the key space is small, at most twice the slots a
+// hashed table would start with, the key itself is the slot index and the
+// table never grows; SRRP trees, whose R is at most the stage count + 2,
+// take this path. Otherwise it is an open-addressing hash map with linear
+// probing and Fibonacci hashing, as trees with a demand per vertex
+// (R ≈ n) need. It keeps two slot arrays: the live table and the one it
+// last grew out of, which the next growth or the next init reuses when it
+// is large enough.
 type memoTable struct {
 	slots, spare []memoSlot
 	shift        uint
 	used         int
+	direct       bool
 }
 
 type memoSlot struct {
@@ -399,12 +416,17 @@ type memoSlot struct {
 	target int32 // rank produced up to, or −1 for no production
 }
 
-// init empties the table and sizes it for capacity keys, clearing a prefix
-// of the larger retained array when that is big enough.
-func (m *memoTable) init(capacity int) {
+// init empties the table and sizes it for capacity keys drawn from
+// 1..keys, clearing a prefix of the larger retained array when that is big
+// enough.
+func (m *memoTable) init(capacity int, keys uint64) {
 	size, shift := 16, uint(60)
 	for size < 2*capacity {
 		size, shift = 2*size, shift-1
+	}
+	m.direct = keys+1 <= uint64(2*size)
+	if m.direct {
+		size = int(keys + 1)
 	}
 	if cap(m.spare) > cap(m.slots) {
 		m.slots, m.spare = m.spare, m.slots
@@ -416,6 +438,9 @@ func (m *memoTable) init(capacity int) {
 
 // find returns the slot holding key, or the empty slot where it belongs.
 func (m *memoTable) find(key uint64) (int, bool) {
+	if m.direct {
+		return int(key), m.slots[key].key == key
+	}
 	mask := uint64(len(m.slots) - 1)
 	i := (key * 0x9e3779b97f4a7c15) >> m.shift
 	for {
@@ -429,9 +454,10 @@ func (m *memoTable) find(key uint64) (int, bool) {
 	}
 }
 
-// insert adds a key that is not in the table, keeping the load at most ½.
+// insert adds a key that is not in the table. A hashed table grows to
+// keep its load at most ½; a direct one has a slot for every key.
 func (m *memoTable) insert(key uint64, cost float64, target int32) {
-	if 2*(m.used+1) > len(m.slots) {
+	if !m.direct && 2*(m.used+1) > len(m.slots) {
 		old := m.slots
 		m.slots, m.spare, m.shift = grow(m.spare, 2*len(old)), old, m.shift-1
 		clear(m.slots)

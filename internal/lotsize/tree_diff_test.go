@@ -165,7 +165,11 @@ func randomTreeProblems() []*TreeProblem {
 	return ps
 }
 
+// TestSolveTreeMatchesOracle compares the DP with the oracle on the seeded
+// trials, which must index their memos both ways: directly (stage demands,
+// few ranks) and hashed (per-vertex demands, ranks ≈ n).
 func TestSolveTreeMatchesOracle(t *testing.T) {
+	modes := map[bool]int{}
 	for trial, p := range randomTreeProblems() {
 		want, werr := solveTreeOracle(p)
 		got, err := SolveTree(p)
@@ -176,6 +180,93 @@ func TestSolveTreeMatchesOracle(t *testing.T) {
 			continue
 		}
 		sameTreePlan(t, "trial", got, want)
+		modes[directMemo(p)]++
+	}
+	if modes[true] == 0 || modes[false] == 0 {
+		t.Fatalf("memo modes: %d direct, %d hashed; want both", modes[true], modes[false])
+	}
+}
+
+// directMemo reports whether a solve of p indexes its memo directly.
+func directMemo(p *TreeProblem) bool {
+	d := newTreeDP(p)
+	defer d.release()
+	return d.memo.direct
+}
+
+// dfsTree is balancedTree with its vertices numbered in depth-first
+// preorder: the vertices of one stage are no longer contiguous.
+func dfsTree(branching []int) (parent, depth []int, prob []float64) {
+	var visit func(pa, d int, pr float64)
+	visit = func(pa, d int, pr float64) {
+		v := len(parent)
+		parent, depth, prob = append(parent, pa), append(depth, d), append(prob, pr)
+		if d < len(branching) {
+			for k := 0; k < branching[d]; k++ {
+				visit(v, d+1, pr/float64(branching[d]))
+			}
+		}
+	}
+	visit(-1, 0, 1)
+	return parent, depth, prob
+}
+
+// TestSolveTreeMatchesOracleOnDFSTrees solves stage-demand trees numbered
+// depth first. Sibling leaves share a cumD and take their predecessor's
+// rank, while a vertex that follows a finished subtree repeats a cumD seen
+// earlier but not just before it, so its rank comes from the search. Both
+// cases must occur, and every plan must match the oracle's bit for bit.
+func TestSolveTreeMatchesOracleOnDFSTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var runs, searched int
+	for trial := 0; trial < 300; trial++ {
+		branching := make([]int, 1+rng.Intn(5))
+		for i := range branching {
+			branching[i] = 1 + rng.Intn(4)
+		}
+		parent, depth, prob := dfsTree(branching)
+		p := fillTree(rng, parent, prob, 0)
+		stageDemand := make([]float64, len(branching)+1)
+		for s := range stageDemand {
+			if rng.Intn(4) > 0 { // a zero stage repeats its parent's cumD
+				stageDemand[s] = float64(rng.Intn(3)) + rng.Float64()*float64(trial%2)
+			}
+		}
+		for v := range p.Demand {
+			p.Demand[v] = stageDemand[depth[v]]
+		}
+		if rng.Intn(2) == 0 {
+			p.InitialInventory = stageDemand[0] + stageDemand[min(1, len(branching))]
+		}
+		cumD := make([]float64, len(parent))
+		seen := map[float64]bool{}
+		for v := range parent {
+			cumD[v] = p.Demand[v]
+			if v > 0 {
+				cumD[v] += cumD[parent[v]]
+				if cumD[v] == cumD[v-1] {
+					runs++
+				} else if seen[cumD[v]] {
+					searched++
+				}
+			}
+			seen[cumD[v]] = true
+		}
+		want, err := solveTreeOracle(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SolveTree(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTreePlan(t, fmt.Sprintf("DFS trial %d", trial), got, want)
+		if !directMemo(p) {
+			t.Fatalf("DFS trial %d: a stage-demand tree with %d vertices indexes its memo by hash", trial, len(parent))
+		}
+	}
+	if runs == 0 || searched == 0 {
+		t.Fatalf("%d run-shared ranks, %d searched repeats; want both", runs, searched)
 	}
 }
 

@@ -9,6 +9,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rentplan/internal/stats"
@@ -77,7 +78,12 @@ func (t *Tree) Validate() error {
 	if t.Parent[0] != -1 || t.Stage[0] != 0 {
 		return errors.New("scenario: vertex 0 must be the stage-0 root")
 	}
-	mass := make(map[int]float64)
+	// A valid stage is at most one past the deepest seen so far (the root
+	// is stage 0 and each vertex one below its parent), so the per-stage
+	// mass grows by appending. The mass is checked in stage order, so the
+	// lowest failing stage is the one reported.
+	var buf [16]float64
+	mass := buf[:0]
 	for v := 0; v < n; v++ {
 		if v > 0 {
 			pa := t.Parent[v]
@@ -93,6 +99,9 @@ func (t *Tree) Validate() error {
 		}
 		if t.Price[v] <= 0 {
 			return fmt.Errorf("scenario: vertex %d price %g", v, t.Price[v])
+		}
+		if t.Stage[v] == len(mass) {
+			mass = append(mass, 0)
 		}
 		mass[t.Stage[v]] += t.Prob[v]
 	}
@@ -148,10 +157,15 @@ type BuildConfig struct {
 	RootPrice float64
 }
 
+// maxVertices is the largest tree Build makes: vertex indices must fit the
+// int32 rows of the tree DP.
+const maxVertices = math.MaxInt32
+
 // Build expands per-stage bid-adjusted distributions into a balanced
 // multistage tree. bids[t] is the ASP's bid for future stage t+1
 // (len(bids) == cfg.Stages); base is the summarised historical price
-// distribution; onDemand is λ.
+// distribution; onDemand is λ. A tree of more than math.MaxInt32 vertices is
+// refused with an error before any of it is allocated.
 func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfig) (*Tree, error) {
 	if cfg.Stages <= 0 {
 		return nil, errors.New("scenario: Stages must be positive")
@@ -195,7 +209,7 @@ func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfi
 			}
 			kept = kept.Aggregate(keepMax)
 		}
-		var sts []state
+		sts := make([]state, 0, kept.Len()+1)
 		for i := range kept.Values {
 			sts = append(sts, state{price: kept.Values[i], prob: kept.Probs[i]})
 		}
@@ -207,28 +221,41 @@ func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfi
 		}
 		stages[s] = sts
 	}
-	// Expand into the tree, breadth-first.
-	tr := &Tree{
-		Parent:   []int{-1},
-		Prob:     []float64{1},
-		Stage:    []int{0},
-		Price:    []float64{cfg.RootPrice},
-		OutOfBid: []bool{false},
+	// The tree has 1 + Σ_s Π_{k≤s} |states_k| vertices. The count must fit
+	// an int32, the vertex index width of the tree DP; each product is
+	// checked before it is formed, so a request for an astronomically
+	// large tree fails here instead of exhausting memory.
+	n, level := 1, 1
+	for s, sts := range stages {
+		if level > maxVertices/len(sts) || n > maxVertices-level*len(sts) {
+			return nil, fmt.Errorf("scenario: %d-stage tree exceeds %d vertices at stage %d", cfg.Stages, maxVertices, s+1)
+		}
+		level *= len(sts)
+		n += level
 	}
-	frontier := []int{0}
-	for s := 0; s < cfg.Stages; s++ {
-		var next []int
-		for _, v := range frontier {
-			for _, st := range stages[s] {
-				tr.Parent = append(tr.Parent, v)
-				tr.Prob = append(tr.Prob, tr.Prob[v]*st.prob)
-				tr.Stage = append(tr.Stage, s+1)
-				tr.Price = append(tr.Price, st.price)
-				tr.OutOfBid = append(tr.OutOfBid, st.oob)
-				next = append(next, len(tr.Parent)-1)
+	// Expand into the tree, breadth-first: the parents of stage s+1 are
+	// the vertices [lo, hi) of stage s.
+	tr := &Tree{
+		Parent:   make([]int, n),
+		Prob:     make([]float64, n),
+		Stage:    make([]int, n),
+		Price:    make([]float64, n),
+		OutOfBid: make([]bool, n),
+	}
+	tr.Parent[0], tr.Prob[0], tr.Price[0] = -1, 1, cfg.RootPrice
+	lo, hi, w := 0, 1, 1
+	for s, sts := range stages {
+		for v := lo; v < hi; v++ {
+			for _, st := range sts {
+				tr.Parent[w] = v
+				tr.Prob[w] = tr.Prob[v] * st.prob
+				tr.Stage[w] = s + 1
+				tr.Price[w] = st.price
+				tr.OutOfBid[w] = st.oob
+				w++
 			}
 		}
-		frontier = next
+		lo, hi = hi, w
 	}
 	return tr, nil
 }
