@@ -40,22 +40,23 @@ loc:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Smoke-run the sparse-core benchmarks (solve wall-clock vs the dense/full-
-# pricing path, plus model-build allocations); baselines in BENCH_sparse.json.
+# Smoke-run the sparse-core benchmarks (the LP solve, which enforces the
+# pivot and pricing-sweep pins of BENCH_sparse.json itself, plus model-build
+# allocations).
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseVsDenseSRRP|BenchmarkSRRPModelBuild' -benchtime 1x .
 
 # Smoke-run the dual-simplex warm re-solve benchmark (branching children of
-# the BENCH_sparse instance, dual vs primal-repair vs cold); baselines in
-# BENCH_dual.json. The benchmark itself enforces the >= 2x iteration
-# reduction acceptance threshold.
+# the BENCH_sparse instance, dual vs cold); baselines in BENCH_dual.json. The
+# benchmark itself enforces the >= 2x iteration reduction acceptance
+# threshold.
 bench-dual:
 	$(GO) test -run '^$$' -bench 'BenchmarkDualVsColdSRRP' -benchtime 1x .
 
 # Smoke-run the parallel nested L-shaped benchmark (8-stage/branch-3 tree,
-# serial cold baseline vs memo + warehouse + dual-warm re-solves); baselines
-# in BENCH_benders.json. The benchmark enforces the >= 3x wall-clock speedup
-# acceptance threshold and the 1e-6 relative bound agreement itself.
+# memo + warehouse + dual-warm re-solves); baselines in BENCH_benders.json.
+# The benchmark enforces the vertex-solve pin and the 1e-6 relative bound
+# agreement itself.
 bench-benders:
 	$(GO) test -run '^$$' -bench 'BenchmarkBendersNestedParallel' -benchtime 1x .
 

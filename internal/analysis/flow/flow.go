@@ -1,11 +1,5 @@
 package flow
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // A Fact is one point in an analysis's join-semilattice. Facts are treated
 // as immutable: Transfer and Join must return fresh values (or the inputs
 // unchanged), never mutate their arguments, so block inputs stay stable
@@ -89,87 +83,4 @@ func Forward(g *Graph, a Analysis) (in, out map[*Block]Fact) {
 		}
 	}
 	return in, out
-}
-
-// A DefSite is one (re)definition of a local variable: a := / = / range /
-// type-switch binding, positioned at the defining identifier.
-type DefSite struct {
-	Ident *ast.Ident
-	// Rhs is the defining expression when the assignment has a 1:1 or
-	// call-multi shape (v, err := f()); nil for range/type-switch bindings
-	// and positionally untraceable assignments.
-	Rhs ast.Expr
-	Pos token.Pos
-}
-
-// DefUse indexes every local variable of one function body: all definition
-// sites and all uses, each in source order. Identifiers inside nested
-// function literals are included (a captured variable's uses matter to the
-// capturing function's analysis); the caller decides whether to treat a
-// closure use specially by checking Ident position against the literal.
-type DefUse struct {
-	Defs map[types.Object][]DefSite
-	Uses map[types.Object][]*ast.Ident
-}
-
-// BuildDefUse scans fn (a FuncDecl body or FuncLit body — any AST subtree)
-// and records the def and use sites of every variable object appearing in
-// it.
-func BuildDefUse(info *types.Info, fn ast.Node) *DefUse {
-	du := &DefUse{
-		Defs: make(map[types.Object][]DefSite),
-		Uses: make(map[types.Object][]*ast.Ident),
-	}
-	ast.Inspect(fn, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
-					rhs = n.Rhs[i]
-				} else if len(n.Rhs) == 1 {
-					rhs = n.Rhs[0] // multi-value call/comma-ok form
-				}
-				du.Defs[obj] = append(du.Defs[obj], DefSite{Ident: id, Rhs: rhs, Pos: id.Pos()})
-			}
-		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil {
-				if _, ok := obj.(*types.Var); ok {
-					du.Uses[obj] = append(du.Uses[obj], n)
-				}
-			}
-			if obj := info.Defs[n]; obj != nil {
-				if _, ok := obj.(*types.Var); ok {
-					if _, seen := du.Defs[obj]; !seen {
-						du.Defs[obj] = append(du.Defs[obj], DefSite{Ident: n, Pos: n.Pos()})
-					}
-				}
-			}
-		}
-		return true
-	})
-	return du
-}
-
-// Reassigned reports whether obj has a definition site other than first
-// (the tracked binding): a re-solve loop that rebinds the same variable
-// must re-arm the analysis at the new site.
-func (du *DefUse) Reassigned(obj types.Object, first *ast.Ident) bool {
-	for _, d := range du.Defs[obj] {
-		if d.Ident != first {
-			return true
-		}
-	}
-	return false
 }

@@ -107,11 +107,6 @@ type Options struct {
 	// MultiCut adds one optimality cut per scenario instead of the
 	// aggregated single cut (faster convergence, bigger master).
 	MultiCut bool
-	// NoWarmStart re-solves the master cold every iteration instead of
-	// warm-starting from the previous optimal basis extended over the
-	// appended cut rows. Benchmarks use it as the A/B baseline; both modes
-	// converge to the same optimum.
-	NoWarmStart bool
 }
 
 func (o Options) withDefaults() Options {
@@ -134,17 +129,11 @@ type Result struct {
 	// Iterations counts master solves; OptCuts and FeasCuts the cuts added.
 	Iterations, OptCuts, FeasCuts int
 	// WarmMasters counts the master solves that reused the previous
-	// optimal basis (zero when Options.NoWarmStart is set).
+	// optimal basis.
 	WarmMasters int
 	// Converged reports whether the gap closed within MaxIter.
 	Converged bool
 }
-
-// denseMasterForTest forces the master problem onto the dense row
-// representation. The sparse/dense bit-agreement test flips it to prove
-// the sparse-backed master reproduces the historical dense path exactly;
-// production code leaves it false.
-var denseMasterForTest bool
 
 // Solve runs the L-shaped method.
 func Solve(p *Problem, opts Options) (*Result, error) {
@@ -167,17 +156,13 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 		nTheta = K
 	}
 
-	// Master LP over (x, θ_1..θ_nTheta), sparse-backed: cut rows carry a
-	// handful of structural nonzeros each, so appending them through the
-	// SparseRow path keeps master growth O(nnz) per cut instead of
-	// O(n+nTheta).
+	// Master LP over (x, θ_1..θ_nTheta): cut rows carry a handful of
+	// structural nonzeros each, so master growth stays O(nnz) per cut
+	// instead of O(n+nTheta).
 	master := &lp.Problem{
 		C:     make([]float64, n+nTheta),
 		Lower: make([]float64, n+nTheta),
 		Upper: make([]float64, n+nTheta),
-	}
-	if !denseMasterForTest {
-		master.SA = []lp.SparseRow{}
 	}
 	copy(master.C, p.C)
 	for j := 0; j < n; j++ {
@@ -200,9 +185,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 		master.Upper[n+t] = math.Inf(1)
 	}
 	for i, row := range p.A {
-		r := make([]float64, n+nTheta)
-		copy(r, row)
-		master.AddRow(r, p.Rel[i], p.B[i])
+		master.AddRow(row, p.Rel[i], p.B[i])
 	}
 
 	// solveMaster re-solves the master, warm-starting from the previous
@@ -215,7 +198,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 	basisRows := 0
 	res := &Result{}
 	solveMaster := func() (*lp.Solution, error) {
-		if opts.NoWarmStart || masterBasis == nil {
+		if masterBasis == nil {
 			return lp.SolveCtx(ctx, master, lp.Options{})
 		}
 		basis := masterBasis
@@ -227,6 +210,15 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 			res.WarmMasters++
 		}
 		return msol, err
+	}
+	// Each scenario's recourse rows W_k are fixed across iterations (only
+	// the rhs h_k − T_k x moves), so they are converted to sparse rows once.
+	recourseRows := make([][]lp.SparseRow, K)
+	for k, sc := range p.Scenarios {
+		recourseRows[k] = make([]lp.SparseRow, len(sc.W))
+		for i, row := range sc.W {
+			recourseRows[k][i] = lp.DenseRow(row)
+		}
 	}
 	sub := &lp.Problem{}
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -264,7 +256,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 				rhs[i] = sc.H[i] - dot(sc.T[i], x)
 			}
 			sub.C = sc.Q
-			sub.A = sc.W
+			sub.SA = recourseRows[k]
 			sub.Rel = sc.Rel
 			sub.B = rhs
 			sub.Lower = nil
@@ -369,9 +361,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 // gradient over the first-stage columns plus an optional θ column
 // (extraCol ≥ 0) carrying coefficient 1; extraCol −1 appends a feasibility
 // cut with no θ term. Only the structural nonzeros are materialised, which
-// keeps cut appends O(nnz) on the sparse-backed master; on the dense-backed
-// master AddSparseRow scatters them back into a full-width row, so the two
-// representations stay bit-identical.
+// keeps cut appends O(nnz).
 func appendCutRow(master *lp.Problem, grad []float64, extraCol int, rhs float64) {
 	ix := make([]int, 0, len(grad)+1)
 	val := make([]float64, 0, len(grad)+1)
@@ -415,7 +405,6 @@ func ExtensiveForm(p *Problem) (*lp.Problem, error) {
 		C:     make([]float64, nTot),
 		Lower: make([]float64, nTot),
 		Upper: make([]float64, nTot),
-		SA:    []lp.SparseRow{},
 	}
 	copy(ext.C, p.C)
 	for j := 0; j < nTot; j++ {
@@ -432,9 +421,9 @@ func ExtensiveForm(p *Problem) (*lp.Problem, error) {
 			ext.C[offsets[k]+j] = sc.Prob * q
 		}
 	}
-	// Sparse-backed rows keep the stacked matrix at O(nnz): the block
-	// structure [A; T_k | W_k] is mostly zero once every scenario's recourse
-	// columns are appended side by side.
+	// Sparse rows keep the stacked matrix at O(nnz): the block structure
+	// [A; T_k | W_k] is mostly zero once every scenario's recourse columns
+	// are appended side by side.
 	for i, row := range p.A {
 		ext.AddRow(row, p.Rel[i], p.B[i])
 	}

@@ -55,47 +55,9 @@ func randomTwoStage(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestMasterSparseDenseBitAgreement pins the representation change of the
-// master problem: the sparse-backed master (the default) must reproduce
-// the historical dense-row path bit for bit, because the CSC compile drops
-// stored zeros from both representations before a single pivot happens.
-func TestMasterSparseDenseBitAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 25; trial++ {
-		p := randomTwoStage(rng)
-		opts := Options{MultiCut: trial%2 == 1}
-		sparse, err := Solve(p, opts)
-		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
-		}
-		denseMasterForTest = true
-		dense, err := Solve(p, opts)
-		denseMasterForTest = false
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		if math.Float64bits(sparse.Obj) != math.Float64bits(dense.Obj) {
-			t.Fatalf("trial %d: obj bits differ: sparse %v, dense %v", trial, sparse.Obj, dense.Obj)
-		}
-		if len(sparse.X) != len(dense.X) {
-			t.Fatalf("trial %d: solution dims differ", trial)
-		}
-		for j := range sparse.X {
-			if math.Float64bits(sparse.X[j]) != math.Float64bits(dense.X[j]) {
-				t.Fatalf("trial %d: x[%d] bits differ: sparse %v, dense %v", trial, j, sparse.X[j], dense.X[j])
-			}
-		}
-		if sparse.Iterations != dense.Iterations || sparse.OptCuts != dense.OptCuts ||
-			sparse.FeasCuts != dense.FeasCuts || sparse.Converged != dense.Converged ||
-			sparse.WarmMasters != dense.WarmMasters {
-			t.Fatalf("trial %d: trajectories differ\nsparse %+v\ndense  %+v", trial, sparse, dense)
-		}
-	}
-}
-
-// TestMasterWarmStartFuzz pins the warm-started master against the cold
-// baseline on random instances: identical optima, and the warm path must
-// actually engage on every multi-iteration run.
+// TestMasterWarmStartFuzz pins the warm-started master against the
+// extensive form solved cold on random instances: identical optima, and the
+// warm path must actually engage on every multi-iteration run.
 func TestMasterWarmStartFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 30; trial++ {
@@ -105,20 +67,11 @@ func TestMasterWarmStartFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
-		coldOpts := opts
-		coldOpts.NoWarmStart = true
-		cold, err := Solve(p, coldOpts)
-		if err != nil {
-			t.Fatalf("trial %d cold: %v", trial, err)
+		if !warm.Converged {
+			t.Fatalf("trial %d: no convergence", trial)
 		}
-		if !warm.Converged || !cold.Converged {
-			t.Fatalf("trial %d: convergence warm=%v cold=%v", trial, warm.Converged, cold.Converged)
-		}
-		if math.Abs(warm.Obj-cold.Obj) > 1e-6*(1+math.Abs(cold.Obj)) {
-			t.Fatalf("trial %d: warm obj %v, cold obj %v", trial, warm.Obj, cold.Obj)
-		}
-		if cold.WarmMasters != 0 {
-			t.Fatalf("trial %d: NoWarmStart run warm-started %d masters", trial, cold.WarmMasters)
+		if ext := solveExtensive(t, p); math.Abs(warm.Obj-ext) > 1e-6*(1+math.Abs(ext)) {
+			t.Fatalf("trial %d: warm obj %v, extensive obj %v", trial, warm.Obj, ext)
 		}
 		if warm.Iterations > 1 && warm.WarmMasters == 0 {
 			t.Fatalf("trial %d: %d iterations without a single warm master", trial, warm.Iterations)
@@ -126,9 +79,9 @@ func TestMasterWarmStartFuzz(t *testing.T) {
 	}
 }
 
-// TestFeasibilityCutsWarm re-runs the feasibility-cut path with warm
-// starts on both settings, since feasibility cuts append rows without a θ
-// column and must extend the basis just the same.
+// TestFeasibilityCutsWarm runs the feasibility-cut path with the warm
+// master, since feasibility cuts append rows without a θ column and must
+// extend the basis just the same, and checks it against the extensive form.
 func TestFeasibilityCutsWarm(t *testing.T) {
 	// x ∈ [0, 10]; the scenario requires y ≥ 0 with −y ≥ 1 − x, i.e.
 	// infeasible whenever x < 1, forcing a feasibility cut first.
@@ -149,14 +102,13 @@ func TestFeasibilityCutsWarm(t *testing.T) {
 	if err != nil || !warm.Converged {
 		t.Fatalf("warm: %v %+v", err, warm)
 	}
-	cold, err := Solve(p, Options{NoWarmStart: true})
-	if err != nil || !cold.Converged {
-		t.Fatalf("cold: %v %+v", err, cold)
+	if warm.FeasCuts == 0 {
+		t.Fatalf("feasibility path not exercised: %+v", warm)
 	}
-	if warm.FeasCuts == 0 || cold.FeasCuts == 0 {
-		t.Fatalf("feasibility path not exercised: warm %+v cold %+v", warm, cold)
+	if warm.WarmMasters == 0 {
+		t.Fatalf("no master re-solve was warm-started after the feasibility cut: %+v", warm)
 	}
-	if math.Abs(warm.Obj-cold.Obj) > 1e-9*(1+math.Abs(cold.Obj)) {
-		t.Fatalf("warm obj %v, cold obj %v", warm.Obj, cold.Obj)
+	if ext := solveExtensive(t, p); math.Abs(warm.Obj-ext) > 1e-9*(1+math.Abs(ext)) {
+		t.Fatalf("warm obj %v, extensive obj %v", warm.Obj, ext)
 	}
 }

@@ -34,11 +34,6 @@ type NestedOptions struct {
 	// WarehouseCap bounds the cuts stored per vertex before LRU aging
 	// evicts the least-recently-used one; ≤0 selects defaultWarehouseCap.
 	WarehouseCap int
-	// NoWarmStart disables the vertex basis reuse and the backward-pass
-	// solution memo, re-solving every vertex LP cold — the behaviour of the
-	// serial solver before the warehouse landed. Benchmarks use it as the
-	// A/B baseline; the default (false) is strictly faster.
-	NoWarmStart bool
 }
 
 func (o NestedOptions) withDefaults() NestedOptions {
@@ -99,10 +94,10 @@ var (
 // Within each stage the vertex LPs are independent given the parent
 // inventories, so both passes batch a stage's vertices across
 // Options.Workers goroutines with a barrier between stages. Every vertex
-// carries a cut warehouse (deduplicated, LRU-aged) and, unless NoWarmStart
-// is set, a stored simplex basis: between visits only the balance RHS and
-// the appended cut rows change, so re-solves warm-start through
-// lp.SolveFromCtx with the basis extended over the new cut slacks.
+// carries a cut warehouse (deduplicated, LRU-aged) and a stored simplex
+// basis: between visits only the balance RHS and the appended cut rows
+// change, so re-solves warm-start through lp.SolveFromCtx with the basis
+// extended over the new cut slacks.
 //
 // The result's Bound equals the LP relaxation optimum of the deterministic
 // equivalent at convergence (verified against the extensive form in tests)
@@ -177,12 +172,12 @@ type vertexState struct {
 
 	// memo caches the full outcome of the last solve, keyed by the exact
 	// balance RHS and the warehouse state it was solved under.
-	memoValid              bool
-	memoB                  float64
-	memoCuts, memoVersion  int
-	memoAlpha, memoBeta    float64
-	memoChi, memoTheta     float64
-	memoObj, memoLambda    float64
+	memoValid             bool
+	memoB                 float64
+	memoCuts, memoVersion int
+	memoAlpha, memoBeta   float64
+	memoChi, memoTheta    float64
+	memoObj, memoLambda   float64
 }
 
 type nestedSolver struct {
@@ -335,7 +330,7 @@ func (s *nestedSolver) backward(ctx context.Context) error {
 // solveVertex evaluates the local LP at vertex v for incoming inventory b.
 // Variables: [α, β, χ] plus θ on non-leaves. Returns the solution pieces,
 // the objective, and the dual of the balance row (dObj/dD, so dObj/db is
-// its negation). Unless NoWarmStart is set it first consults the memo of
+// its negation). It first consults the memo of
 // the last solve — a hit requires the identical RHS and an unchanged cut
 // set, under which a re-solve would reproduce the cached outcome — and
 // otherwise warm-starts from the stored basis when the warehouse still
@@ -350,7 +345,7 @@ func (s *nestedSolver) solveVertex(ctx context.Context, v int, b float64) (alpha
 	if nv == 4 {
 		ncuts = len(st.wh.cuts)
 	}
-	if !s.opts.NoWarmStart && st.memoValid &&
+	if st.memoValid &&
 		st.memoCuts == ncuts && st.memoVersion == st.wh.version &&
 		st.memoB == b { //lint:ignore rentlint/floatcmp memo key: reuse is sound only for a bit-identical rhs, where a re-solve would repeat the cached run exactly
 		st.memoHits++
@@ -391,7 +386,7 @@ func (s *nestedSolver) solveVertex(ctx context.Context, v int, b float64) (alpha
 	st.solves++
 	var sol *lp.Solution
 	warm := false
-	if !s.opts.NoWarmStart && st.basis != nil &&
+	if st.basis != nil &&
 		st.basisVersion == st.wh.version && ncuts >= st.basisCuts {
 		basis := st.basis
 		if ncuts > st.basisCuts {
@@ -423,18 +418,16 @@ func (s *nestedSolver) solveVertex(ctx context.Context, v int, b float64) (alpha
 		theta = sol.X[3]
 	}
 	obj, lambda = sol.Obj, sol.Duals[0]
-	if !s.opts.NoWarmStart {
-		st.basis = sol.Basis
-		st.basisCuts = ncuts
-		st.basisVersion = st.wh.version
-		st.memoValid = true
-		st.memoB = b
-		st.memoCuts = ncuts
-		st.memoVersion = st.wh.version
-		st.memoAlpha, st.memoBeta = alpha, beta
-		st.memoChi, st.memoTheta = chi, theta
-		st.memoObj, st.memoLambda = obj, lambda
-	}
+	st.basis = sol.Basis
+	st.basisCuts = ncuts
+	st.basisVersion = st.wh.version
+	st.memoValid = true
+	st.memoB = b
+	st.memoCuts = ncuts
+	st.memoVersion = st.wh.version
+	st.memoAlpha, st.memoBeta = alpha, beta
+	st.memoChi, st.memoTheta = chi, theta
+	st.memoObj, st.memoLambda = obj, lambda
 	return alpha, beta, chi, theta, obj, lambda, nil
 }
 

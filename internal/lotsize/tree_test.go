@@ -47,16 +47,12 @@ func treeMILP(p *TreeProblem) *mip.Problem {
 		} else {
 			row[beta(p.Parent[v])] = 1
 		}
-		lpp.A = append(lpp.A, row)
-		lpp.Rel = append(lpp.Rel, lp.EQ)
-		lpp.B = append(lpp.B, rhs)
+		lpp.AddRow(row, lp.EQ, rhs)
 		// α_v ≤ B·χ_v.
 		row2 := make([]float64, nv)
 		row2[alpha(v)] = 1
 		row2[chi(v)] = -bigB
-		lpp.A = append(lpp.A, row2)
-		lpp.Rel = append(lpp.Rel, lp.LE)
-		lpp.B = append(lpp.B, 0)
+		lpp.AddRow(row2, lp.LE, 0)
 	}
 	ints := make([]bool, nv)
 	for v := 0; v < n; v++ {

@@ -19,7 +19,7 @@ func dualChild(t *testing.T, rng *rand.Rand) (*Problem, *Basis) {
 	n := 3 + rng.Intn(8)
 	m := 2 + rng.Intn(6)
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Lower: make([]float64, n), Upper: make([]float64, n),
 	}
@@ -36,7 +36,7 @@ func dualChild(t *testing.T, rng *rand.Rand) (*Problem, *Basis) {
 			row[j] = rng.NormFloat64()
 			v += row[j] * x0[j]
 		}
-		p.A[i] = row
+		p.SA[i] = DenseRow(row)
 		switch rng.Intn(3) {
 		case 0:
 			p.Rel[i], p.B[i] = LE, v+rng.Float64()
@@ -66,14 +66,25 @@ func dualChild(t *testing.T, rng *rand.Rand) (*Problem, *Basis) {
 	return child, parent.Basis
 }
 
-// TestDualVsPrimalAgreementFuzz is the seeded property test of the dual
-// simplex: across random branching-style re-solves, the dual-routed warm
-// path, the NoDual (primal repair) warm path, and the cold oracle must
-// agree on status and, at optimality, on the objective — and the dual path
-// must engage on a healthy share of the trials.
+// installedDualFeasible reports whether basis, installed on p, leaves bound
+// violations and prices dual feasible: the condition under which SolveFrom
+// routes a warm solve through the dual simplex instead of the primal repair.
+func installedDualFeasible(p *Problem, basis *Basis) bool {
+	s := newSimplex(p, Options{}.withDefaults(p.NumRows(), p.NumVars()))
+	defer s.release()
+	return s.installBasis(basis) == warmNeedsRepair && s.dualFeasible()
+}
+
+// TestDualVsPrimalAgreementFuzz is the seeded property test of the warm
+// paths against the cold oracle. Each branching-style child is re-solved
+// from its parent basis twice: as is, where the dual path must engage on a
+// healthy share of the trials, and with its costs negated, which leaves the
+// parent basis dual infeasible so the warm solve must take the primal
+// repair (WarmMiss) or find the basis feasible as-is (WarmHit). Both must
+// agree with a cold Solve on status and, at optimality, on the objective.
 func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
-	trials, engaged, optimal, bitIdentical := 0, 0, 0, 0
+	trials, engaged, optimal, bitIdentical, repaired := 0, 0, 0, 0, 0
 	for trial := 0; trial < 140; trial++ {
 		child, basis := dualChild(t, rng)
 		if child == nil {
@@ -87,19 +98,12 @@ func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prim, err := SolveFrom(child, basis, Options{NoDual: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		trials++
 		if dual.WarmStart == WarmDual {
 			engaged++
 		}
-		if prim.WarmStart == WarmDual || prim.DualIters != 0 {
-			t.Fatalf("trial %d: NoDual solve took the dual path: %v, %d dual iters", trial, prim.WarmStart, prim.DualIters)
-		}
-		if dual.Status != cold.Status || prim.Status != cold.Status {
-			t.Fatalf("trial %d: status dual=%v primal=%v cold=%v", trial, dual.Status, prim.Status, cold.Status)
+		if dual.Status != cold.Status {
+			t.Fatalf("trial %d: status dual=%v cold=%v", trial, dual.Status, cold.Status)
 		}
 		// Status-certification contract: the dual path itself never
 		// certifies; an infeasible/unbounded verdict must come from the
@@ -107,6 +111,39 @@ func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 		if (dual.Status == StatusInfeasible || dual.Status == StatusUnbounded) && dual.WarmStart != WarmFallback {
 			t.Fatalf("trial %d: %v certified via WarmStart %v, want fallback", trial, dual.Status, dual.WarmStart)
 		}
+
+		flipped := child.Clone()
+		for j := range flipped.C {
+			flipped.C[j] = -flipped.C[j]
+		}
+		if !installedDualFeasible(flipped, basis) {
+			coldF, err := Solve(flipped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prim, err := SolveFrom(flipped, basis, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prim.Status != coldF.Status {
+				t.Fatalf("trial %d: flipped-cost status warm=%v cold=%v", trial, prim.Status, coldF.Status)
+			}
+			if prim.WarmStart == WarmDual || prim.DualIters != 0 {
+				t.Fatalf("trial %d: dual-infeasible basis took the dual path: %v, %d dual iters", trial, prim.WarmStart, prim.DualIters)
+			}
+			if prim.Status == StatusOptimal {
+				if prim.WarmStart != WarmHit && prim.WarmStart != WarmMiss {
+					t.Fatalf("trial %d: flipped-cost optimum via WarmStart %v, want hit or miss", trial, prim.WarmStart)
+				}
+				if prim.WarmStart == WarmMiss {
+					repaired++
+				}
+				if math.Abs(prim.Obj-coldF.Obj) > objTol(coldF.Obj) {
+					t.Fatalf("trial %d: primal-repair obj %.17g, cold obj %.17g", trial, prim.Obj, coldF.Obj)
+				}
+			}
+		}
+
 		if cold.Status != StatusOptimal {
 			continue
 		}
@@ -116,9 +153,6 @@ func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 		}
 		if math.Abs(dual.Obj-cold.Obj) > objTol(cold.Obj) {
 			t.Fatalf("trial %d: dual obj %.17g, cold obj %.17g", trial, dual.Obj, cold.Obj)
-		}
-		if math.Abs(prim.Obj-cold.Obj) > objTol(cold.Obj) {
-			t.Fatalf("trial %d: primal-repair obj %.17g, cold obj %.17g", trial, prim.Obj, cold.Obj)
 		}
 		if !feasible(child, dual.X, 1e-6) {
 			t.Fatalf("trial %d: dual solution infeasible", trial)
@@ -130,6 +164,9 @@ func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 	if engaged == 0 {
 		t.Fatal("dual path never engaged")
 	}
+	if repaired == 0 {
+		t.Fatal("primal repair never engaged")
+	}
 	// The optima should not merely agree to tolerance: on most re-solves
 	// the dual path lands on the same vertex and reproduces the cold
 	// objective bit-for-bit. (A strict all-trials bit-compare is too
@@ -138,7 +175,7 @@ func TestDualVsPrimalAgreementFuzz(t *testing.T) {
 	if bitIdentical*2 < optimal {
 		t.Fatalf("only %d/%d optimal objectives bit-identical to the cold oracle", bitIdentical, optimal)
 	}
-	t.Logf("trials=%d dual-engaged=%d optimal=%d bit-identical=%d", trials, engaged, optimal, bitIdentical)
+	t.Logf("trials=%d dual-engaged=%d primal-repaired=%d optimal=%d bit-identical=%d", trials, engaged, repaired, optimal, bitIdentical)
 }
 
 // TestDualNeverCertifiesInfeasibleFuzz drives the warm path into provably
@@ -154,10 +191,12 @@ func TestDualNeverCertifiesInfeasibleFuzz(t *testing.T) {
 		}
 		// Make one row unsatisfiable over the bound box: flip it to GE with
 		// a right-hand side strictly above the maximum achievable activity.
-		i := rng.Intn(len(child.A))
+		i := rng.Intn(child.NumRows())
 		maxAct := 0.0
 		ok := true
-		for j, a := range child.A[i] {
+		r := &child.SA[i]
+		for k, j := range r.Ix {
+			a := r.V[k]
 			lo, hi := child.boundsAt(j)
 			if a > 0 {
 				if math.IsInf(hi, 1) {
@@ -322,7 +361,7 @@ func TestSolveFromCtxCanceledCleanInstall(t *testing.T) {
 func TestPhase1ScaleCoversBounds(t *testing.T) {
 	p := &Problem{
 		C:     []float64{1, 1},
-		A:     [][]float64{{0.5, -2}},
+		SA:    sparseRows([][]float64{{0.5, -2}}),
 		Rel:   []Rel{EQ},
 		B:     []float64{3},
 		Lower: []float64{1e8, math.Inf(-1)},
@@ -350,7 +389,7 @@ func TestLargeBoundFeasibleRegression(t *testing.T) {
 		n := 4 + rng.Intn(6)
 		m := 3 + rng.Intn(5)
 		p := &Problem{
-			C: make([]float64, n), A: make([][]float64, m),
+			C: make([]float64, n), SA: make([]SparseRow, m),
 			Rel: make([]Rel, m), B: make([]float64, m),
 			Lower: make([]float64, n), Upper: make([]float64, n),
 		}
@@ -371,7 +410,7 @@ func TestLargeBoundFeasibleRegression(t *testing.T) {
 				row[j], row[j+1] = a, -a
 				b += a*anchor - a*anchor
 			}
-			p.A[i] = row
+			p.SA[i] = DenseRow(row)
 			if rng.Intn(2) == 0 {
 				p.Rel[i], p.B[i] = EQ, b
 			} else {
@@ -395,7 +434,7 @@ func TestLargeBoundFeasibleRegression(t *testing.T) {
 func TestLargeBoundInfeasibleStaysInfeasible(t *testing.T) {
 	p := &Problem{
 		C:     []float64{1, 1},
-		A:     [][]float64{{1, 1}, {1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}, {1, 1}}),
 		Rel:   []Rel{GE, LE},
 		B:     []float64{1.9e8, 1.2e8},
 		Lower: []float64{0, 0},

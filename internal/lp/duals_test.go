@@ -11,7 +11,7 @@ import (
 func TestDualsAreShadowPrices(t *testing.T) {
 	p := &Problem{
 		C:   []float64{-1, -1},
-		A:   [][]float64{{1, 2}, {3, 1}},
+		SA:  sparseRows([][]float64{{1, 2}, {3, 1}}),
 		Rel: []Rel{LE, LE},
 		B:   []float64{4, 6},
 	}
@@ -44,7 +44,7 @@ func TestDualsRandomized(t *testing.T) {
 		m := 2 + rng.Intn(3)
 		p := &Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, m),
+			SA:    make([]SparseRow, m),
 			Rel:   make([]Rel, m),
 			B:     make([]float64, m),
 			Upper: make([]float64, n),
@@ -63,7 +63,7 @@ func TestDualsRandomized(t *testing.T) {
 				row[j] = rng.NormFloat64()
 				v += row[j] * x0[j]
 			}
-			p.A[i] = row
+			p.SA[i] = DenseRow(row)
 			if rng.Intn(2) == 0 {
 				p.Rel[i], p.B[i] = LE, v+0.5+rng.Float64()
 			} else {
@@ -111,7 +111,7 @@ func TestFarkasRaySeparates(t *testing.T) {
 	// x ≥ 5 and x ≤ 3 with x ∈ [0, 10]: infeasible.
 	p := &Problem{
 		C:     []float64{0},
-		A:     [][]float64{{1}, {1}},
+		SA:    sparseRows([][]float64{{1}, {1}}),
 		Rel:   []Rel{GE, LE},
 		B:     []float64{5, 3},
 		Upper: []float64{10},
@@ -139,7 +139,7 @@ func TestFarkasRaySeparates(t *testing.T) {
 		}
 	}
 	// Optimal solves must not carry a ray.
-	p2 := &Problem{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{GE}, B: []float64{1}}
+	p2 := &Problem{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{GE}, B: []float64{1}}
 	sol2, _ := Solve(p2)
 	if sol2.FarkasRay != nil {
 		t.Fatal("optimal solve returned a Farkas ray")

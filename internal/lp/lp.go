@@ -5,9 +5,9 @@
 //	subject to  Aᵢx {≤,=,≥} bᵢ   for every row i
 //	            lⱼ ≤ xⱼ ≤ uⱼ     for every variable j
 //
-// Variable bounds may be infinite (math.Inf). The constraint matrix may be
-// supplied dense (Problem.A) or sparse (Problem.SA); on solve entry either
-// representation is compiled into the same immutable compressed-sparse-
+// Variable bounds may be infinite (math.Inf). Constraint rows are stored
+// sparse (Problem.SA, one SparseRow per row; AddRow converts a dense row);
+// on solve entry they are compiled into an immutable compressed-sparse-
 // column form, so the hot loops — pricing, FTRAN, the ratio test — iterate
 // structural nonzeros only. The solver is written for the moderately sized
 // scenario-tree problems produced by the rental-planning models in this
@@ -88,18 +88,12 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int8(s))
 }
 
-// Problem is a linear program in row-oriented form. Constraint rows live in
-// exactly one of two representations: the dense A, or the sparse SA (one
-// SparseRow per constraint). A non-nil SA — even an empty one — marks the
-// problem sparse-backed and A must then stay nil; the solver compiles either
-// representation into the same internal CSC form, so results are identical.
+// Problem is a linear program in row-oriented form: constraint row i is
+// SA[i] {Rel[i]} B[i].
 type Problem struct {
 	// C holds the objective coefficients; len(C) is the variable count.
 	C []float64
-	// A holds one dense coefficient row per constraint. Nil when SA is used.
-	A [][]float64
-	// SA holds one sparse coefficient row per constraint. Nil when A is
-	// used; non-nil (possibly empty) marks the problem sparse-backed.
+	// SA holds one sparse coefficient row per constraint.
 	SA []SparseRow
 	// Rel holds the relational operator of each row.
 	Rel []Rel
@@ -115,12 +109,7 @@ type Problem struct {
 func (p *Problem) NumVars() int { return len(p.C) }
 
 // NumRows returns the number of constraint rows.
-func (p *Problem) NumRows() int {
-	if p.SA != nil {
-		return len(p.SA)
-	}
-	return len(p.A)
-}
+func (p *Problem) NumRows() int { return len(p.SA) }
 
 // Validate checks dimensional consistency, bound sanity, and that every
 // numeric entry of the program — costs, coefficients, right-hand sides and
@@ -135,24 +124,8 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: objective coefficient %d is %g", j, c)
 		}
 	}
-	if p.sparseBacked() {
-		if err := p.validateSparse(n); err != nil {
-			return err
-		}
-	} else {
-		if len(p.A) != len(p.B) || len(p.A) != len(p.Rel) {
-			return fmt.Errorf("lp: row count mismatch: |A|=%d |B|=%d |Rel|=%d", len(p.A), len(p.B), len(p.Rel))
-		}
-		for i, row := range p.A {
-			if len(row) != n {
-				return fmt.Errorf("lp: row %d has %d coefficients, want %d", i, len(row), n)
-			}
-			for j, a := range row {
-				if math.IsNaN(a) || math.IsInf(a, 0) {
-					return fmt.Errorf("lp: A[%d][%d] is %g", i, j, a)
-				}
-			}
-		}
+	if err := p.validateRows(n); err != nil {
+		return err
 	}
 	if p.Lower != nil && len(p.Lower) != n {
 		return fmt.Errorf("lp: |Lower|=%d, want %d", len(p.Lower), n)
@@ -203,11 +176,6 @@ func (p *Problem) Clone() *Problem {
 		for i := range p.SA {
 			q.SA[i] = p.SA[i].Clone()
 		}
-	} else {
-		q.A = make([][]float64, len(p.A))
-		for i, row := range p.A {
-			q.A[i] = append([]float64(nil), row...)
-		}
 	}
 	if p.Lower != nil {
 		q.Lower = append([]float64(nil), p.Lower...)
@@ -251,15 +219,15 @@ type Solution struct {
 	// WarmNone for plain Solve/SolveWithOptions calls.
 	WarmStart WarmStart
 
-	// PricingSweeps counts full pricing sweeps over every column: one per
-	// pivot under Options.FullPricing, and only candidate-list
-	// (re)builds — plus anti-cycling and repair iterations — otherwise.
+	// PricingSweeps counts full pricing sweeps over every column: the
+	// candidate-list (re)builds plus the anti-cycling and repair
+	// iterations, which price every column on each pivot.
 	PricingSweeps int
 	// CandidateHits counts pivots whose entering column was served from
-	// the candidate list without a full sweep. Zero under FullPricing.
+	// the candidate list without a full sweep.
 	CandidateHits int
 	// NNZ is the structural nonzero count of the compiled constraint
-	// matrix, identical for both Problem representations.
+	// matrix.
 	NNZ int
 
 	// DualIters counts the dual-simplex pivots of a warm solve routed
@@ -280,19 +248,6 @@ type Options struct {
 	MaxIter int
 	// Tol is the feasibility/optimality tolerance; ≤0 selects num.LPTol.
 	Tol float64
-	// FullPricing disables candidate-list partial pricing and the sparse
-	// triangular refactorisation, restoring the classic loop: exact duals
-	// recomputed every pivot, a full Dantzig sweep per iteration, and
-	// dense Gauss–Jordan refactorisation. Both modes reach the same
-	// optimum (the candidate list only changes which improving column
-	// enters first); the switch exists for A/B benchmarking and for
-	// isolating pricing regressions.
-	FullPricing bool
-	// NoDual disables the dual-simplex warm path of SolveFrom/SolveFromCtx:
-	// a dual-feasible installed basis is then repaired by the restricted
-	// primal phase 1 exactly as in earlier releases. The switch exists for
-	// A/B benchmarking and for isolating dual-path regressions.
-	NoDual bool
 }
 
 // Resolved returns the options with every zero field replaced by its default

@@ -9,6 +9,16 @@ import (
 
 const eps = 1e-6
 
+// sparseRows converts dense coefficient rows to the Problem.SA format, the
+// way AddRow does.
+func sparseRows(a [][]float64) []SparseRow {
+	rows := make([]SparseRow, len(a))
+	for i, row := range a {
+		rows[i] = DenseRow(row)
+	}
+	return rows
+}
+
 func checkSolve(t *testing.T, p *Problem, wantStatus Status, wantObj float64, wantX []float64) *Solution {
 	t.Helper()
 	sol, err := Solve(p)
@@ -38,7 +48,7 @@ func TestSimple2D(t *testing.T) {
 	// max x+y s.t. x+2y<=4, 3x+y<=6 => min -(x+y). Optimum x=1.6,y=1.2.
 	p := &Problem{
 		C:   []float64{-1, -1},
-		A:   [][]float64{{1, 2}, {3, 1}},
+		SA:  sparseRows([][]float64{{1, 2}, {3, 1}}),
 		Rel: []Rel{LE, LE},
 		B:   []float64{4, 6},
 	}
@@ -49,7 +59,7 @@ func TestEqualityRow(t *testing.T) {
 	// min x+2y s.t. x+y=3, x<=2 => x=2, y=1, obj 4.
 	p := &Problem{
 		C:     []float64{1, 2},
-		A:     [][]float64{{1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}}),
 		Rel:   []Rel{EQ},
 		B:     []float64{3},
 		Upper: []float64{2, math.Inf(1)},
@@ -61,7 +71,7 @@ func TestGERow(t *testing.T) {
 	// min 2x+3y s.t. x+y>=10, x<=4 => x=4, y=6, obj 26.
 	p := &Problem{
 		C:     []float64{2, 3},
-		A:     [][]float64{{1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}}),
 		Rel:   []Rel{GE},
 		B:     []float64{10},
 		Upper: []float64{4, math.Inf(1)},
@@ -72,7 +82,7 @@ func TestGERow(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := &Problem{
 		C:   []float64{1},
-		A:   [][]float64{{1}, {1}},
+		SA:  sparseRows([][]float64{{1}, {1}}),
 		Rel: []Rel{GE, LE},
 		B:   []float64{5, 3},
 	}
@@ -83,7 +93,7 @@ func TestInfeasibleBounds(t *testing.T) {
 	// x <= 1 (bound), x >= 2 (row).
 	p := &Problem{
 		C:     []float64{0},
-		A:     [][]float64{{1}},
+		SA:    sparseRows([][]float64{{1}}),
 		Rel:   []Rel{GE},
 		B:     []float64{2},
 		Upper: []float64{1},
@@ -94,7 +104,7 @@ func TestInfeasibleBounds(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	p := &Problem{
 		C:   []float64{-1, 0},
-		A:   [][]float64{{-1, 1}},
+		SA:  sparseRows([][]float64{{-1, 1}}),
 		Rel: []Rel{LE},
 		B:   []float64{1},
 	}
@@ -105,7 +115,7 @@ func TestFreeVariable(t *testing.T) {
 	// min x s.t. x >= -5 with x free => x=-5.
 	p := &Problem{
 		C:     []float64{1},
-		A:     [][]float64{{1}},
+		SA:    sparseRows([][]float64{{1}}),
 		Rel:   []Rel{GE},
 		B:     []float64{-5},
 		Lower: []float64{math.Inf(-1)},
@@ -118,7 +128,7 @@ func TestFreeVariablePair(t *testing.T) {
 	inf := math.Inf(1)
 	p := &Problem{
 		C:     []float64{1, 1},
-		A:     [][]float64{{1, 1}, {1, -1}},
+		SA:    sparseRows([][]float64{{1, 1}, {1, -1}}),
 		Rel:   []Rel{EQ, EQ},
 		B:     []float64{7, 1},
 		Lower: []float64{-inf, -inf},
@@ -131,7 +141,7 @@ func TestBoundFlip(t *testing.T) {
 	// min -x - 10y s.t. x + y <= 5, 0<=x<=1, 0<=y<=3 => x=1,y=3.
 	p := &Problem{
 		C:     []float64{-1, -10},
-		A:     [][]float64{{1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}}),
 		Rel:   []Rel{LE},
 		B:     []float64{5},
 		Upper: []float64{1, 3},
@@ -143,7 +153,7 @@ func TestNegativeRHS(t *testing.T) {
 	// min x+y s.t. -x - y <= -4 (i.e. x+y >= 4).
 	p := &Problem{
 		C:   []float64{1, 1},
-		A:   [][]float64{{-1, -1}},
+		SA:  sparseRows([][]float64{{-1, -1}}),
 		Rel: []Rel{LE},
 		B:   []float64{-4},
 	}
@@ -154,7 +164,7 @@ func TestFixedVariable(t *testing.T) {
 	// y fixed at 2: min x s.t. x + y >= 5 => x=3.
 	p := &Problem{
 		C:     []float64{1, 0},
-		A:     [][]float64{{1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}}),
 		Rel:   []Rel{GE},
 		B:     []float64{5},
 		Lower: []float64{0, 2},
@@ -167,7 +177,7 @@ func TestRedundantRows(t *testing.T) {
 	// Duplicate equality rows must not break phase 1 eviction.
 	p := &Problem{
 		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}, {1, 1}, {2, 2}},
+		SA:  sparseRows([][]float64{{1, 1}, {1, 1}, {2, 2}}),
 		Rel: []Rel{EQ, EQ, EQ},
 		B:   []float64{4, 4, 8},
 	}
@@ -178,7 +188,7 @@ func TestDegenerateKlee(t *testing.T) {
 	// A degenerate LP that forces many ties in the ratio test.
 	p := &Problem{
 		C:   []float64{-0.75, 150, -0.02, 6},
-		A:   [][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}},
+		SA:  sparseRows([][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}),
 		Rel: []Rel{LE, LE, LE},
 		B:   []float64{0, 0, 1},
 	}
@@ -188,20 +198,20 @@ func TestDegenerateKlee(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	bad := []*Problem{
-		{C: []float64{1}, A: [][]float64{{1, 2}}, Rel: []Rel{LE}, B: []float64{1}},
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1, 2}},
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{2}, Upper: []float64{1}},
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{math.NaN()}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1, 2}}), Rel: []Rel{LE}, B: []float64{1}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1, 2}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{2}, Upper: []float64{1}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{math.NaN()}},
 		// Regression: NaN/Inf in C or A used to slip through validation and
 		// propagate silently through pricing.
-		{C: []float64{math.NaN()}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}},
-		{C: []float64{math.Inf(1)}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}},
-		{C: []float64{1}, A: [][]float64{{math.NaN()}}, Rel: []Rel{LE}, B: []float64{1}},
-		{C: []float64{1, 0}, A: [][]float64{{1, math.Inf(-1)}}, Rel: []Rel{LE}, B: []float64{1}},
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.NaN()}},
+		{C: []float64{math.NaN()}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}},
+		{C: []float64{math.Inf(1)}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{math.NaN()}}), Rel: []Rel{LE}, B: []float64{1}},
+		{C: []float64{1, 0}, SA: sparseRows([][]float64{{1, math.Inf(-1)}}), Rel: []Rel{LE}, B: []float64{1}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.NaN()}},
 		// A [+Inf,+Inf] "interval" is no more solvable than an empty one.
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.Inf(1)}},
-		{C: []float64{1}, A: [][]float64{{1}}, Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.Inf(-1)}, Upper: []float64{math.Inf(-1)}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.Inf(1)}},
+		{C: []float64{1}, SA: sparseRows([][]float64{{1}}), Rel: []Rel{LE}, B: []float64{1}, Lower: []float64{math.Inf(-1)}, Upper: []float64{math.Inf(-1)}},
 	}
 	for i, p := range bad {
 		if _, err := Solve(p); err == nil {
@@ -212,15 +222,15 @@ func TestValidateErrors(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	p := &Problem{
-		C: []float64{1, 2}, A: [][]float64{{1, 1}}, Rel: []Rel{LE}, B: []float64{3},
+		C: []float64{1, 2}, SA: sparseRows([][]float64{{1, 1}}), Rel: []Rel{LE}, B: []float64{3},
 		Lower: []float64{0, 0}, Upper: []float64{5, 5},
 	}
 	q := p.Clone()
-	q.A[0][0] = 99
+	q.SA[0].V[0] = 99
 	q.C[0] = 99
 	q.B[0] = 99
 	q.Lower[0] = 99
-	if p.A[0][0] == 99 || p.C[0] == 99 || p.B[0] == 99 || p.Lower[0] == 99 {
+	if p.SA[0].V[0] == 99 || p.C[0] == 99 || p.B[0] == 99 || p.Lower[0] == 99 {
 		t.Fatal("Clone is not deep")
 	}
 }
@@ -234,11 +244,8 @@ func feasible(p *Problem, x []float64, tol float64) bool {
 			return false
 		}
 	}
-	for i, row := range p.A {
-		v := 0.0
-		for j := range row {
-			v += row[j] * x[j]
-		}
+	for i := range p.SA {
+		v := p.RowDot(i, x)
 		switch p.Rel[i] {
 		case LE:
 			if v > p.B[i]+tol {
@@ -266,7 +273,7 @@ func TestRandomVsInteriorSamples(t *testing.T) {
 		m := 1 + rng.Intn(5)
 		p := &Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, m),
+			SA:    make([]SparseRow, m),
 			Rel:   make([]Rel, m),
 			B:     make([]float64, m),
 			Lower: make([]float64, n),
@@ -289,7 +296,7 @@ func TestRandomVsInteriorSamples(t *testing.T) {
 				row[j] = rng.NormFloat64()
 				v += row[j] * x0[j]
 			}
-			p.A[i] = row
+			p.SA[i] = DenseRow(row)
 			switch rng.Intn(3) {
 			case 0:
 				p.Rel[i], p.B[i] = LE, v+rng.Float64()
@@ -360,18 +367,14 @@ func TestLargerDenseLP(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			row[idx(i, j)] = 1
 		}
-		p.A = append(p.A, row)
-		p.Rel = append(p.Rel, EQ)
-		p.B = append(p.B, supply[i])
+		p.AddRow(row, EQ, supply[i])
 	}
 	for j := 0; j < 3; j++ {
 		row := make([]float64, n)
 		for i := 0; i < 3; i++ {
 			row[idx(i, j)] = 1
 		}
-		p.A = append(p.A, row)
-		p.Rel = append(p.Rel, EQ)
-		p.B = append(p.B, demand[j])
+		p.AddRow(row, EQ, demand[j])
 	}
 	sol := checkSolve(t, p, StatusOptimal, 300, nil)
 	// Verify against exhaustive LP optimum computed by hand:
@@ -384,7 +387,7 @@ func TestLargerDenseLP(t *testing.T) {
 func TestIterationLimit(t *testing.T) {
 	p := &Problem{
 		C:   []float64{-1, -1, -1},
-		A:   [][]float64{{1, 1, 1}},
+		SA:  sparseRows([][]float64{{1, 1, 1}}),
 		Rel: []Rel{LE},
 		B:   []float64{10},
 	}
@@ -398,7 +401,7 @@ func BenchmarkSimplexDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n, m := 60, 40
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Upper: make([]float64, n), Lower: make([]float64, n),
 	}
@@ -413,7 +416,7 @@ func BenchmarkSimplexDense(b *testing.B) {
 			row[j] = math.Abs(rng.NormFloat64())
 			s += row[j]
 		}
-		p.A[i], p.Rel[i], p.B[i] = row, LE, s*2
+		p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), LE, s*2
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -449,7 +452,7 @@ func TestLargeLPTriggersRefactorisation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n, m := 120, 80
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Lower: make([]float64, n), Upper: make([]float64, n),
 	}
@@ -466,7 +469,7 @@ func TestLargeLPTriggersRefactorisation(t *testing.T) {
 			row[j] = rng.NormFloat64()
 			v += row[j] * x0[j]
 		}
-		p.A[i] = row
+		p.SA[i] = DenseRow(row)
 		if i%3 == 0 {
 			p.Rel[i], p.B[i] = EQ, v
 		} else if i%3 == 1 {
@@ -503,7 +506,7 @@ func TestIterationLimitStatus(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n, m := 40, 30
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Upper: make([]float64, n), Lower: make([]float64, n),
 	}
@@ -520,7 +523,7 @@ func TestIterationLimitStatus(t *testing.T) {
 			row[j] = rng.NormFloat64()
 			v += row[j] * x0[j]
 		}
-		p.A[i], p.Rel[i], p.B[i] = row, EQ, v
+		p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), EQ, v
 	}
 	sol, err := SolveWithOptions(p, Options{MaxIter: 2})
 	if err != nil {
@@ -541,7 +544,7 @@ func TestConcurrentSolvesSharedProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n, m := 12, 8
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Upper: make([]float64, n),
 	}
@@ -556,7 +559,7 @@ func TestConcurrentSolvesSharedProblem(t *testing.T) {
 			row[j] = rng.Float64()
 			s += row[j]
 		}
-		p.A[i], p.Rel[i], p.B[i] = row, LE, s*1.5
+		p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), LE, s*1.5
 	}
 	ref, err := Solve(p)
 	if err != nil {

@@ -33,7 +33,7 @@ type simplex struct {
 	nAll int // n + 2m (adds artificials)
 
 	// csc is the structural constraint matrix compiled on solve entry; all
-	// matrix access in the hot loops goes through it, never through p.A/p.SA.
+	// matrix access in the hot loops goes through it, never through p.SA.
 	csc cscMat
 
 	lo, hi []float64 // bounds per column, length nAll
@@ -54,7 +54,7 @@ type simplex struct {
 	degenerate int  // consecutive (near-)degenerate pivots
 	bland      bool // anti-cycling mode
 
-	// Candidate-list pricing state (unused under Options.FullPricing).
+	// Candidate-list pricing state.
 	cand      []int32   // nonbasic columns harvested by the last full sweep
 	candScore []float64 // harvest scores, parallel to cand during rebuild
 	candAge   int       // pivots served since the last rebuild
@@ -528,52 +528,16 @@ func (s *simplex) accumAcc() {
 	}
 }
 
-// runPhase iterates pivots until optimality, unboundedness or limits.
-func (s *simplex) runPhase(phase1 bool) Status {
-	if s.opts.FullPricing {
-		return s.runPhaseFull(phase1)
-	}
-	return s.runPhaseSparse(phase1)
-}
-
-// runPhaseFull is the classic loop preserved behind Options.FullPricing:
-// exact duals and a full Dantzig pricing sweep on every pivot.
-func (s *simplex) runPhaseFull(phase1 bool) Status {
-	tol := s.opts.Tol
-	for {
-		if s.iters >= s.opts.MaxIter {
-			return StatusIterLimit
-		}
-		if s.iters%ctxCheckInterval == 0 && s.canceled() {
-			return StatusCanceled
-		}
-		s.computeDuals(phase1)
-		s.accumAcc()
-		s.sweeps++
-		enter, dir := s.priceEntering(phase1, tol)
-		if enter < 0 {
-			return StatusOptimal // no improving column
-		}
-		st := s.pivot(enter, dir, false, tol)
-		if st != statusPivotOK {
-			if st == statusPivotUnbounded {
-				return StatusUnbounded
-			}
-			return StatusIterLimit
-		}
-		s.iters++
-	}
-}
-
-// runPhaseSparse is the default loop: candidate-list partial pricing over
-// incrementally maintained duals. A full sweep (always over freshly
-// recomputed duals) harvests the candCap() best-priced nonbasic columns;
-// subsequent pivots drain that list, re-pricing only its members, until it
-// is empty or candTTL() pivots old, whereupon the next sweep rebuilds it.
+// runPhase iterates pivots until optimality, unboundedness or limits, with
+// candidate-list partial pricing over incrementally maintained duals. A
+// full sweep (always over freshly recomputed duals) harvests the candCap()
+// best-priced nonbasic columns; subsequent pivots drain that list,
+// re-pricing only its members, until it is empty or candTTL() pivots old,
+// whereupon the next sweep rebuilds it.
 // Optimality and unboundedness are certified exclusively from exact duals:
 // an empty sweep is already exact, and an unbounded pivot found under
 // drifted duals is retried after an exact recompute.
-func (s *simplex) runPhaseSparse(phase1 bool) Status {
+func (s *simplex) runPhase(phase1 bool) Status {
 	tol := s.opts.Tol
 	s.cand = s.cand[:0]
 	s.candAge = 0
@@ -589,9 +553,8 @@ func (s *simplex) runPhaseSparse(phase1 bool) Status {
 		var dir, d float64
 		fromList := false
 		if s.bland {
-			// Anti-cycling mode: exact duals and the same full
-			// first-eligible sweep as the full-pricing path, so Bland's rule
-			// keeps its termination guarantee.
+			// Anti-cycling mode: exact duals and a full first-eligible
+			// sweep, so Bland's rule keeps its termination guarantee.
 			s.computeDuals(phase1)
 			s.accumAcc()
 			s.sweeps++
@@ -999,16 +962,14 @@ func (s *simplex) refresh() {
 	s.computeBasicValues()
 }
 
-// invertBasis rebuilds B⁻¹ from the current basis columns. The default
-// (sparse) mode first attempts the triangular-peel factorisation, which
-// handles the near-triangular bases of scenario-tree LPs in O(m² + m·nnz)
-// and falls back to the dense elimination whenever the basis does not peel
-// cleanly; Options.FullPricing keeps the historical dense Gauss–Jordan
-// unconditionally, preserving that path bit-for-bit. Either way false is
-// reported — leaving s.binv untouched — when the basis matrix is
-// numerically singular.
+// invertBasis rebuilds B⁻¹ from the current basis columns. It first
+// attempts the triangular-peel factorisation, which handles the
+// near-triangular bases of scenario-tree LPs in O(m² + m·nnz), and falls
+// back to dense Gauss–Jordan elimination whenever the basis does not peel
+// cleanly. Either way false is reported — leaving s.binv untouched — when
+// the basis matrix is numerically singular.
 func (s *simplex) invertBasis() bool {
-	if !s.opts.FullPricing && s.invertBasisPeel() {
+	if s.invertBasisPeel() {
 		return true
 	}
 	return s.invertBasisDense()

@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-// sparseTwin returns an SA-backed copy of a dense-backed problem with the
-// same rows, bounds, and objective.
-func sparseTwin(p *Problem) *Problem {
-	q := p.Clone()
-	q.SA = make([]SparseRow, 0, len(q.A))
-	rows := q.A
-	q.A = nil
-	for _, row := range rows {
-		ix := make([]int, 0, len(row))
-		v := make([]float64, 0, len(row))
-		for j, a := range row {
-			if a == 0 {
-				continue
-			}
-			ix = append(ix, j)
-			v = append(v, a)
-		}
-		q.SA = append(q.SA, SparseRow{Ix: ix, V: v})
-	}
-	return q
-}
-
 // randomMixedLP builds a random LP with structural sparsity and a mix of row
 // relations and bound shapes, so the fuzz hits optimal, infeasible, and
 // unbounded outcomes.
@@ -53,29 +31,36 @@ func randomMixedLP(rng *rand.Rand, n, m int) *Problem {
 		}
 	}
 	for i := 0; i < m; i++ {
-		row := make([]float64, n)
-		nzCount := 0
-		for j := 0; j < n; j++ {
-			if rng.Float64() < 0.4 {
-				row[j] = rng.Float64()*4 - 2
-				nzCount++
-			}
-		}
-		if nzCount == 0 {
-			row[rng.Intn(n)] = 1
-		}
-		rel := LE
-		switch r := rng.Float64(); {
-		case r < 0.25:
-			rel = GE
-		case r < 0.40:
-			rel = EQ
-		}
-		p.A = append(p.A, row)
-		p.Rel = append(p.Rel, rel)
-		p.B = append(p.B, rng.Float64()*3-1)
+		p.AddRow(randomSparseRow(rng, n), randomRel(rng), rng.Float64()*3-1)
 	}
 	return p
+}
+
+// randomSparseRow draws a dense row with about 40% nonzeros, at least one.
+func randomSparseRow(rng *rand.Rand, n int) []float64 {
+	row := make([]float64, n)
+	nzCount := 0
+	for j := 0; j < n; j++ {
+		if rng.Float64() < 0.4 {
+			row[j] = rng.Float64()*4 - 2
+			nzCount++
+		}
+	}
+	if nzCount == 0 {
+		row[rng.Intn(n)] = 1
+	}
+	return row
+}
+
+// randomRel draws LE, GE or EQ with probabilities 0.60, 0.25 and 0.15.
+func randomRel(rng *rand.Rand) Rel {
+	switch r := rng.Float64(); {
+	case r < 0.25:
+		return GE
+	case r < 0.40:
+		return EQ
+	}
+	return LE
 }
 
 // certifyFarkas checks that y is a valid infeasibility certificate for p:
@@ -90,16 +75,10 @@ func certifyFarkas(t *testing.T, p *Problem, y []float64) {
 		t.Fatalf("ray length %d for %d rows", len(y), p.NumRows())
 	}
 	v := make([]float64, n)
-	for i := 0; i < p.NumRows(); i++ {
-		if p.sparseBacked() {
-			r := &p.SA[i]
-			for k, j := range r.Ix {
-				v[j] += y[i] * r.V[k]
-			}
-		} else {
-			for j, a := range p.A[i] {
-				v[j] += y[i] * a
-			}
+	for i := range p.SA {
+		r := &p.SA[i]
+		for k, j := range r.Ix {
+			v[j] += y[i] * r.V[k]
 		}
 	}
 	const tol = 1e-9
@@ -140,88 +119,128 @@ func certifyFarkas(t *testing.T, p *Problem, y []float64) {
 	}
 }
 
-// TestSparseDenseAgreementFuzz solves 120 random LPs through the four
-// (representation × pricing) configurations and demands identical outcomes.
-// The same representation under the same pricing mode must agree exactly —
-// the CSC compile of a dense matrix and its sparse twin are identical, so
-// the solver runs pivot-for-pivot the same — while candidate-list pricing
-// versus full pricing may pivot differently and only the optimum must match.
+// certifyOptimal checks the KKT conditions of an optimal solution from p's
+// data alone, without trusting the solver's pivots:
+//   - primal feasibility: X within its bounds and every row satisfied;
+//   - dual feasibility: each row dual y_i (Duals, dObj/dB_i) has the sign
+//     of its relation (≤ 0 on LE rows, ≥ 0 on GE rows) and vanishes on a
+//     slack row, and each reduced cost d_j = c_j − Σ_i y_i·A_ij has the
+//     sign of the bound x_j rests on (0 strictly between its bounds);
+//   - strong duality: cᵀx equals the dual objective yᵀb + Σ_j d_j·x_j,
+//     where every d_j clear of zero multiplies a finite bound.
+func certifyOptimal(t *testing.T, p *Problem, sol *Solution) {
+	t.Helper()
+	const tol = 1e-7
+	n, m := p.NumVars(), p.NumRows()
+	x, y := sol.X, sol.Duals
+	if len(x) != n || len(y) != m {
+		t.Fatalf("optimum with %d values and %d duals for %d vars, %d rows", len(x), len(y), n, m)
+	}
+	xScale := 1.0
+	for j := 0; j < n; j++ {
+		xScale = math.Max(xScale, math.Abs(x[j]))
+		lo, hi := p.boundsAt(j)
+		if x[j] < lo-tol*(1+math.Abs(lo)) || x[j] > hi+tol*(1+math.Abs(hi)) {
+			t.Fatalf("x[%d]=%g outside [%g, %g]", j, x[j], lo, hi)
+		}
+	}
+	d := append([]float64(nil), p.C...)
+	for i := 0; i < m; i++ {
+		act := p.RowDot(i, x)
+		rowTol := tol * (1 + math.Abs(p.B[i]) + p.RowAbsSum(i)*xScale)
+		slack := p.B[i] - act
+		switch p.Rel[i] {
+		case LE:
+			if slack < -rowTol {
+				t.Fatalf("row %d: %g ≤ %g violated", i, act, p.B[i])
+			}
+			if y[i] > tol {
+				t.Fatalf("row %d: LE dual %g > 0", i, y[i])
+			}
+		case GE:
+			if slack > rowTol {
+				t.Fatalf("row %d: %g ≥ %g violated", i, act, p.B[i])
+			}
+			if y[i] < -tol {
+				t.Fatalf("row %d: GE dual %g < 0", i, y[i])
+			}
+		case EQ:
+			if math.Abs(slack) > rowTol {
+				t.Fatalf("row %d: %g = %g violated", i, act, p.B[i])
+			}
+		}
+		if math.Abs(slack) > rowTol && math.Abs(y[i]) > tol {
+			t.Fatalf("row %d: slack %g with nonzero dual %g", i, slack, y[i])
+		}
+		r := &p.SA[i]
+		for k, j := range r.Ix {
+			d[j] -= y[i] * r.V[k]
+		}
+	}
+	dualObj := 0.0
+	for i, b := range p.B {
+		dualObj += y[i] * b
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := p.boundsAt(j)
+		atLo := x[j] <= lo+tol*(1+math.Abs(lo))
+		atHi := x[j] >= hi-tol*(1+math.Abs(hi))
+		switch {
+		case d[j] > tol && !atLo:
+			t.Fatalf("x[%d]=%g above its lower bound %g with reduced cost %g > 0", j, x[j], lo, d[j])
+		case d[j] < -tol && !atHi:
+			t.Fatalf("x[%d]=%g below its upper bound %g with reduced cost %g < 0", j, x[j], hi, d[j])
+		case d[j] > tol:
+			dualObj += d[j] * lo
+		case d[j] < -tol:
+			dualObj += d[j] * hi
+		default:
+			dualObj += d[j] * x[j]
+		}
+	}
+	if gap := math.Abs(sol.Obj - dualObj); gap > tol*(1+math.Abs(sol.Obj)) {
+		t.Fatalf("duality gap %g: primal %.12g, dual %.12g", gap, sol.Obj, dualObj)
+	}
+}
+
+// TestSparseDenseAgreementFuzz solves 120 random LPs and certifies every
+// verdict independently of the solver: each optimum by its KKT conditions
+// (certifyOptimal) and each infeasible verdict by its Farkas ray.
 func TestSparseDenseAgreementFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	statusCount := map[Status]int{}
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(19)
 		m := 1 + rng.Intn(14)
-		dense := randomMixedLP(rng, n, m)
-		sparse := sparseTwin(dense)
-
-		type cfg struct {
-			name string
-			p    *Problem
-			opt  Options
+		p := randomMixedLP(rng, n, m)
+		sol, err := Solve(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		cfgs := []cfg{
-			{"dense/cand", dense, Options{}},
-			{"sparse/cand", sparse, Options{}},
-			{"dense/full", dense, Options{FullPricing: true}},
-			{"sparse/full", sparse, Options{FullPricing: true}},
-		}
-		sols := make([]*Solution, len(cfgs))
-		for k, c := range cfgs {
-			sol, err := SolveWithOptions(c.p, c.opt)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, c.name, err)
+		statusCount[sol.Status]++
+		switch sol.Status {
+		case StatusOptimal:
+			certifyOptimal(t, p, sol)
+		case StatusInfeasible:
+			if sol.FarkasRay == nil {
+				t.Fatalf("trial %d: infeasible without a Farkas ray", trial)
 			}
-			sols[k] = sol
-		}
-		statusCount[sols[0].Status]++
-		// Exact agreement within a pricing mode across representations.
-		for _, pair := range [][2]int{{0, 1}, {2, 3}} {
-			a, b := sols[pair[0]], sols[pair[1]]
-			if a.Status != b.Status || a.Iterations != b.Iterations || a.Obj != b.Obj {
-				t.Fatalf("trial %d: %s=(%v, %v, %d it) disagrees with %s=(%v, %v, %d it)",
-					trial, cfgs[pair[0]].name, a.Status, a.Obj, a.Iterations,
-					cfgs[pair[1]].name, b.Status, b.Obj, b.Iterations)
-			}
-			for j := range a.X {
-				if a.X[j] != b.X[j] {
-					t.Fatalf("trial %d: X[%d] differs across representations: %v vs %v",
-						trial, j, a.X[j], b.X[j])
-				}
-			}
-		}
-		// Tolerance agreement across pricing modes.
-		a, b := sols[0], sols[2]
-		if a.Status != b.Status {
-			t.Fatalf("trial %d: candidate pricing %v vs full pricing %v", trial, a.Status, b.Status)
-		}
-		if a.Status == StatusOptimal {
-			if diff := math.Abs(a.Obj - b.Obj); diff > 1e-7*(1+math.Abs(b.Obj)) {
-				t.Fatalf("trial %d: objective %v (candidate) vs %v (full)", trial, a.Obj, b.Obj)
-			}
-		}
-		if a.Status == StatusInfeasible {
-			for k, sol := range sols {
-				if sol.FarkasRay == nil {
-					t.Fatalf("trial %d %s: infeasible without a Farkas ray", trial, cfgs[k].name)
-				}
-				certifyFarkas(t, cfgs[k].p, sol.FarkasRay)
-			}
+			certifyFarkas(t, p, sol.FarkasRay)
 		}
 	}
 	// The generator must actually exercise more than one outcome class.
-	if len(statusCount) < 2 {
+	if statusCount[StatusOptimal] == 0 || len(statusCount) < 2 {
 		t.Fatalf("fuzz generator degenerate: statuses %v", statusCount)
 	}
+	t.Logf("statuses %v", statusCount)
 }
 
+// TestValidateRejectsRaggedDenseRow: a dense row wider than the variable
+// count, added through AddRow, names a column that does not exist.
 func TestValidateRejectsRaggedDenseRow(t *testing.T) {
-	p := &Problem{
-		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}, {1}}, // second row ragged
-		Rel: []Rel{LE, LE},
-		B:   []float64{1, 1},
-	}
+	p := &Problem{C: []float64{1, 1}}
+	p.AddRow([]float64{1, 1}, LE, 1)
+	p.AddRow([]float64{1, 0, 1}, LE, 1) // second row ragged
 	if err := p.Validate(); err == nil {
 		t.Fatal("want ragged-row error")
 	}
@@ -242,12 +261,6 @@ func TestValidateSparseErrors(t *testing.T) {
 	ok := base()
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed sparse problem rejected: %v", err)
-	}
-
-	both := base()
-	both.A = [][]float64{{1, 0, -1}}
-	if err := both.Validate(); err == nil {
-		t.Fatal("want mutual-exclusion error when A and SA are both set")
 	}
 
 	ragged := base()
@@ -303,54 +316,80 @@ func TestNewSparseRowNormalises(t *testing.T) {
 	}
 }
 
+// TestRowHelpersAgreeAcrossRepresentations checks NNZ, RowDot and RowAbsSum
+// on rows stored through AddRow against the same sums taken over the dense
+// rows they were built from.
 func TestRowHelpersAgreeAcrossRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	dense := randomMixedLP(rng, 12, 8)
-	sparse := sparseTwin(dense)
-	if dense.NNZ() != sparse.NNZ() {
-		t.Fatalf("NNZ %d vs %d", dense.NNZ(), sparse.NNZ())
+	const n, m = 12, 8
+	p := &Problem{C: make([]float64, n)}
+	dense := make([][]float64, m)
+	nnz := 0
+	for i := range dense {
+		dense[i] = randomSparseRow(rng, n)
+		p.AddRow(dense[i], LE, 1)
+		for _, a := range dense[i] {
+			if a != 0 {
+				nnz++
+			}
+		}
 	}
-	x := make([]float64, 12)
+	if p.NNZ() != nnz {
+		t.Fatalf("NNZ %d, want %d", p.NNZ(), nnz)
+	}
+	x := make([]float64, n)
 	for j := range x {
 		x[j] = rng.Float64()*2 - 1
 	}
-	for i := 0; i < dense.NumRows(); i++ {
-		if d, s := dense.RowDot(i, x), sparse.RowDot(i, x); math.Abs(d-s) > 1e-12 {
-			t.Fatalf("RowDot(%d): %v vs %v", i, d, s)
+	for i, row := range dense {
+		dot, abs := 0.0, 0.0
+		for j, a := range row {
+			dot += a * x[j]
+			abs += math.Abs(a)
 		}
-		if d, s := dense.RowAbsSum(i), sparse.RowAbsSum(i); math.Abs(d-s) > 1e-12 {
-			t.Fatalf("RowAbsSum(%d): %v vs %v", i, d, s)
+		if got := p.RowDot(i, x); math.Abs(got-dot) > 1e-12 {
+			t.Fatalf("RowDot(%d): %v, want %v", i, got, dot)
+		}
+		if got := p.RowAbsSum(i); math.Abs(got-abs) > 1e-12 {
+			t.Fatalf("RowAbsSum(%d): %v, want %v", i, got, abs)
 		}
 	}
 }
 
+// TestAddRowAndAddSparseRowEquivalent: the same two rows given once densely
+// and once as (index, value) pairs — unsorted, with a duplicate column —
+// must store identical sparse rows and solve identically.
 func TestAddRowAndAddSparseRowEquivalent(t *testing.T) {
-	mk := func(sparseBacked bool) *Problem {
-		p := &Problem{
+	mk := func() *Problem {
+		return &Problem{
 			C:     []float64{1, 2, 3},
 			Lower: make([]float64, 3),
 			Upper: []float64{4, 4, 4},
 		}
-		if sparseBacked {
-			p.SA = []SparseRow{}
+	}
+	d, s := mk(), mk()
+	d.AddRow([]float64{1, 0, -1}, LE, 2)
+	d.AddRow([]float64{2, 0, 1}, GE, 1)
+	s.AddSparseRow([]int{2, 0}, []float64{-1, 1}, LE, 2)
+	s.AddSparseRow([]int{2, 0, 0}, []float64{1, 1, 1}, GE, 1)
+	for _, p := range []*Problem{d, s} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		p.AddRow([]float64{1, 0, -1}, LE, 2)
-		p.AddSparseRow([]int{2, 0, 0}, []float64{1, 1, 1}, GE, 1)
-		return p
 	}
-	d, s := mk(false), mk(true)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
+	if d.NumRows() != 2 || s.NumRows() != 2 {
+		t.Fatalf("rows %d/%d, want 2", d.NumRows(), s.NumRows())
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.NumRows() != 2 || s.NumRows() != 2 || d.NNZ() != s.NNZ() {
-		t.Fatalf("row/nnz mismatch: %d/%d rows, %d/%d nnz", d.NumRows(), s.NumRows(), d.NNZ(), s.NNZ())
-	}
-	// AddSparseRow on the sparse problem must have summed the duplicate 0s.
-	if got := s.SA[1]; len(got.Ix) != 2 || got.Ix[0] != 0 || got.V[0] != 2 {
-		t.Fatalf("duplicate columns not summed: %+v", got)
+	for i := range d.SA {
+		a, b := d.SA[i], s.SA[i]
+		if len(a.Ix) != len(b.Ix) {
+			t.Fatalf("row %d: %+v vs %+v", i, a, b)
+		}
+		for k := range a.Ix {
+			if a.Ix[k] != b.Ix[k] || a.V[k] != b.V[k] {
+				t.Fatalf("row %d: %+v vs %+v", i, a, b)
+			}
+		}
 	}
 	sd, err := Solve(d)
 	if err != nil {
@@ -365,37 +404,27 @@ func TestAddRowAndAddSparseRowEquivalent(t *testing.T) {
 	}
 }
 
-// TestSolutionCounters checks the pricing instrumentation: full pricing
-// sweeps every pivot and never uses the candidate list, while candidate-list
-// pricing resolves most pivots from the list and sweeps far less often.
+// TestSolutionCounters checks the pricing instrumentation on a 60-variable
+// LP: candidate-list pricing serves pivots from the list and sweeps fewer
+// times than it pivots, and NNZ reports the problem's structural nonzeros.
 func TestSolutionCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := randomLP(rng, 60, 30)
-	full, err := SolveWithOptions(p, Options{FullPricing: true})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := SolveWithOptions(p, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if sol.Status != StatusOptimal {
+		t.Fatalf("status %v", sol.Status)
 	}
-	if full.Status != StatusOptimal || cand.Status != StatusOptimal {
-		t.Fatalf("statuses %v / %v", full.Status, cand.Status)
+	if sol.NNZ == 0 || sol.NNZ != p.NNZ() {
+		t.Fatalf("NNZ %d, problem has %d", sol.NNZ, p.NNZ())
 	}
-	if full.NNZ == 0 || full.NNZ != cand.NNZ {
-		t.Fatalf("NNZ %d vs %d", full.NNZ, cand.NNZ)
-	}
-	if full.CandidateHits != 0 {
-		t.Fatalf("full pricing reported %d candidate hits", full.CandidateHits)
-	}
-	if full.PricingSweeps < full.Iterations {
-		t.Fatalf("full pricing: %d sweeps for %d pivots", full.PricingSweeps, full.Iterations)
-	}
-	if cand.CandidateHits == 0 {
+	if sol.CandidateHits == 0 {
 		t.Fatal("candidate pricing never drew from the list on a 60-var LP")
 	}
-	if cand.PricingSweeps >= full.PricingSweeps {
-		t.Fatalf("candidate pricing swept %d times, full pricing %d", cand.PricingSweeps, full.PricingSweeps)
+	if sol.PricingSweeps >= sol.Iterations {
+		t.Fatalf("%d sweeps for %d pivots", sol.PricingSweeps, sol.Iterations)
 	}
 }
 

@@ -93,7 +93,7 @@ func SolveFromCtx(ctx context.Context, p *Problem, basis *Basis, opts Options) (
 	// repair with whatever progress was made, and from there to the exact
 	// cold path — infeasibility and unboundedness are still only ever
 	// certified cold.
-	if !opts.NoDual && s.dualFeasible() {
+	if s.dualFeasible() {
 		switch s.runDual() {
 		case dualDone:
 			sol, err := s.solvePhase2()

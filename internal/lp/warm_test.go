@@ -32,7 +32,7 @@ func TestWarmStartHitSameProblem(t *testing.T) {
 	// hit: no phase 1, no repair, zero additional pivots, same optimum.
 	p := &Problem{
 		C:   []float64{-1, -1},
-		A:   [][]float64{{1, 2}, {3, 1}},
+		SA:  sparseRows([][]float64{{1, 2}, {3, 1}}),
 		Rel: []Rel{LE, LE},
 		B:   []float64{4, 6},
 	}
@@ -66,7 +66,7 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	// cold solve.
 	p := &Problem{
 		C:     []float64{-1, -1},
-		A:     [][]float64{{1, 2}, {3, 1}},
+		SA:    sparseRows([][]float64{{1, 2}, {3, 1}}),
 		Rel:   []Rel{LE, LE},
 		B:     []float64{4, 6},
 		Lower: []float64{0, 0},
@@ -106,7 +106,7 @@ func TestWarmStartInfeasibleChild(t *testing.T) {
 	// back rather than concluding anything from a stalled repair).
 	p := &Problem{
 		C:     []float64{1, 1},
-		A:     [][]float64{{1, 1}},
+		SA:    sparseRows([][]float64{{1, 1}}),
 		Rel:   []Rel{GE},
 		B:     []float64{4},
 		Lower: []float64{0, 0},
@@ -133,7 +133,7 @@ func TestWarmStartInfeasibleChild(t *testing.T) {
 func TestWarmStartMalformedBasisFallsBack(t *testing.T) {
 	p := &Problem{
 		C:   []float64{-1, -1},
-		A:   [][]float64{{1, 2}, {3, 1}},
+		SA:  sparseRows([][]float64{{1, 2}, {3, 1}}),
 		Rel: []Rel{LE, LE},
 		B:   []float64{4, 6},
 	}
@@ -186,7 +186,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 	mk := func() *Problem {
 		n, m := 6, 4
 		p := &Problem{
-			C: make([]float64, n), A: make([][]float64, m),
+			C: make([]float64, n), SA: make([]SparseRow, m),
 			Rel: make([]Rel, m), B: make([]float64, m),
 			Lower: make([]float64, n), Upper: make([]float64, n),
 		}
@@ -201,7 +201,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 				row[j] = rng.Float64()
 				s += row[j]
 			}
-			p.A[i], p.Rel[i], p.B[i] = row, LE, s
+			p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), LE, s
 		}
 		return p
 	}
@@ -228,7 +228,7 @@ func TestIterLimitMidPhase1NoPartialPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n, m := 40, 30
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Upper: make([]float64, n), Lower: make([]float64, n),
 	}
@@ -245,7 +245,7 @@ func TestIterLimitMidPhase1NoPartialPoint(t *testing.T) {
 			row[j] = rng.NormFloat64()
 			v += row[j] * x0[j]
 		}
-		p.A[i], p.Rel[i], p.B[i] = row, EQ, v
+		p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), EQ, v
 	}
 	sol, err := SolveWithOptions(p, Options{MaxIter: 2})
 	if err != nil {
@@ -268,7 +268,7 @@ func TestIterLimitMidPhase2KeepsFeasiblePoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n, m := 30, 20
 	p := &Problem{
-		C: make([]float64, n), A: make([][]float64, m),
+		C: make([]float64, n), SA: make([]SparseRow, m),
 		Rel: make([]Rel, m), B: make([]float64, m),
 		Upper: make([]float64, n), Lower: make([]float64, n),
 	}
@@ -285,7 +285,7 @@ func TestIterLimitMidPhase2KeepsFeasiblePoint(t *testing.T) {
 		}
 		// All-LE rows with slack at rest: the slack start is feasible, so
 		// phase 1 is skipped and the limit must fire inside phase 2.
-		p.A[i], p.Rel[i], p.B[i] = row, LE, s
+		p.SA[i], p.Rel[i], p.B[i] = DenseRow(row), LE, s
 	}
 	sol, err := SolveWithOptions(p, Options{MaxIter: 1})
 	if err != nil {
@@ -311,7 +311,7 @@ func TestWarmRepairIterLimitNoPartialPoint(t *testing.T) {
 	// basis repair, no partially-repaired point may leak out.
 	p := &Problem{
 		C:     []float64{-1, -1, -2},
-		A:     [][]float64{{1, 2, 1}, {3, 1, 2}, {1, 1, 1}},
+		SA:    sparseRows([][]float64{{1, 2, 1}, {3, 1, 2}, {1, 1, 1}}),
 		Rel:   []Rel{LE, LE, GE},
 		B:     []float64{6, 8, 2},
 		Lower: []float64{0, 0, 0},
@@ -340,7 +340,7 @@ func TestWarmColdAgreementFuzz(t *testing.T) {
 		n := 3 + rng.Intn(8)
 		m := 2 + rng.Intn(6)
 		p := &Problem{
-			C: make([]float64, n), A: make([][]float64, m),
+			C: make([]float64, n), SA: make([]SparseRow, m),
 			Rel: make([]Rel, m), B: make([]float64, m),
 			Lower: make([]float64, n), Upper: make([]float64, n),
 		}
@@ -357,7 +357,7 @@ func TestWarmColdAgreementFuzz(t *testing.T) {
 				row[j] = rng.NormFloat64()
 				v += row[j] * x0[j]
 			}
-			p.A[i] = row
+			p.SA[i] = DenseRow(row)
 			switch rng.Intn(3) {
 			case 0:
 				p.Rel[i], p.B[i] = LE, v+rng.Float64()

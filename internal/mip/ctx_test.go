@@ -33,9 +33,7 @@ func denseMIP(rng *rand.Rand, n int) *Problem {
 			row[j] = rng.Float64()
 			s += row[j]
 		}
-		p.LP.A = append(p.LP.A, row)
-		p.LP.Rel = append(p.LP.Rel, lp.LE)
-		p.LP.B = append(p.LP.B, s/3)
+		p.LP.AddRow(row, lp.LE, s/3)
 	}
 	return p
 }

@@ -4,16 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"rentplan/internal/lp"
 )
 
-// TestDualEtaAgreementSweep is the branch-and-bound-level agreement matrix
+// TestDualEtaAgreementSweep is the branch-and-bound-level agreement check
 // for the dual simplex and its eta-file updates: every corpus instance must
-// prove the same optimum across workers {1,4} × dual path {on,off} ×
-// pricing {partial,full}. The dual-on runs exercise eta-file ftran/btran
-// and its refactorisation triggers on every warm node; the dual-off runs
-// are the refactorisation-only control.
+// prove the enumerated optimum with workers {1,4}, the dual path must
+// engage somewhere in the corpus, and every dual-repaired node's pivots
+// must be accounted with eta-file updates.
 func TestDualEtaAgreementSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1212))
 	corpus := []*Problem{
@@ -24,53 +21,28 @@ func TestDualEtaAgreementSweep(t *testing.T) {
 	}
 	totalDualNodes := int64(0)
 	for pi, p := range corpus {
-		ref, err := SolveWithOptions(p, Options{Workers: 1, LP: lp.Options{NoDual: true}})
-		if err != nil {
-			t.Fatalf("instance %d reference: %v", pi, err)
-		}
-		if ref.Status != StatusOptimal {
-			t.Fatalf("instance %d reference status %v", pi, ref.Status)
-		}
-		if ref.Stats.WarmDuals != 0 || ref.Stats.DualIters != 0 {
-			t.Fatalf("instance %d: NoDual run recorded dual activity: %+v", pi, ref.Stats)
-		}
+		ref := referenceOptimum(t, p)
 		for _, workers := range []int{1, 4} {
-			for _, noDual := range []bool{false, true} {
-				for _, fullPricing := range []bool{false, true} {
-					sol, err := SolveWithOptions(p, Options{
-						Workers: workers,
-						LP:      lp.Options{NoDual: noDual, FullPricing: fullPricing},
-					})
-					if err != nil {
-						t.Fatalf("instance %d workers=%d noDual=%v full=%v: %v",
-							pi, workers, noDual, fullPricing, err)
-					}
-					if sol.Status != StatusOptimal {
-						t.Fatalf("instance %d workers=%d noDual=%v full=%v: status %v",
-							pi, workers, noDual, fullPricing, sol.Status)
-					}
-					if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-						t.Fatalf("instance %d workers=%d noDual=%v full=%v: obj %.12f, reference %.12f",
-							pi, workers, noDual, fullPricing, sol.Obj, ref.Obj)
-					}
-					checkWarmAccounting(t, sol.Stats)
-					if noDual && (sol.Stats.WarmDuals != 0 || sol.Stats.DualIters != 0) {
-						t.Fatalf("instance %d workers=%d full=%v: NoDual run recorded dual activity: %+v",
-							pi, workers, fullPricing, sol.Stats)
-					}
-					if sol.Stats.DualIters > sol.Stats.SimplexIters {
-						t.Fatalf("instance %d: DualIters %d exceeds SimplexIters %d",
-							pi, sol.Stats.DualIters, sol.Stats.SimplexIters)
-					}
-					if sol.Stats.WarmDuals > 0 && sol.Stats.EtaCount == 0 {
-						t.Fatalf("instance %d: %d dual nodes recorded no eta updates",
-							pi, sol.Stats.WarmDuals)
-					}
-					if !noDual {
-						totalDualNodes += sol.Stats.WarmDuals
-					}
-				}
+			sol, err := SolveWithOptions(p, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("instance %d workers=%d: %v", pi, workers, err)
 			}
+			if sol.Status != StatusOptimal {
+				t.Fatalf("instance %d workers=%d: status %v", pi, workers, sol.Status)
+			}
+			if math.Abs(sol.Obj-ref) > 1e-6 {
+				t.Fatalf("instance %d workers=%d: obj %.12f, reference %.12f", pi, workers, sol.Obj, ref)
+			}
+			checkWarmAccounting(t, sol.Stats)
+			if sol.Stats.DualIters > sol.Stats.SimplexIters {
+				t.Fatalf("instance %d: DualIters %d exceeds SimplexIters %d",
+					pi, sol.Stats.DualIters, sol.Stats.SimplexIters)
+			}
+			if sol.Stats.WarmDuals > 0 && sol.Stats.EtaCount == 0 {
+				t.Fatalf("instance %d: %d dual nodes recorded no eta updates",
+					pi, sol.Stats.WarmDuals)
+			}
+			totalDualNodes += sol.Stats.WarmDuals
 		}
 	}
 	if totalDualNodes == 0 {

@@ -13,13 +13,11 @@ func ExampleSolve() {
 	prob := &mip.Problem{
 		LP: &lp.Problem{
 			C:     []float64{-10, -13, -7, -11}, // negated values
-			A:     [][]float64{{3, 4, 2, 3}},    // weights
-			Rel:   []lp.Rel{lp.LE},
-			B:     []float64{7},
 			Upper: []float64{1, 1, 1, 1},
 		},
 		Integer: []bool{true, true, true, true},
 	}
+	prob.LP.AddRow([]float64{3, 4, 2, 3}, lp.LE, 7) // weights within the budget
 	sol, err := mip.Solve(prob)
 	if err != nil {
 		panic(err)

@@ -136,18 +136,12 @@ type Options struct {
 	Rule BranchRule
 	// DisableHeuristic turns off the rounding primal heuristic.
 	DisableHeuristic bool
-	// NoWarmStart disables basis warm-starting of child node relaxations,
-	// forcing every node onto the cold two-phase simplex path. Results are
-	// identical either way; the switch exists for A/B benchmarking and for
-	// isolating the warm-start machinery when debugging.
-	NoWarmStart bool
 	// RootBasis, when non-nil, warm-starts the root relaxation from a prior
 	// solve of the same (or a structurally identical) problem — typically
 	// the Solution.RootBasis of another tenant's solve over a shared
 	// scenario tree. A Basis is immutable, so one snapshot may be passed to
 	// any number of concurrent solves. A stale or mismatched basis is
 	// harmless: the simplex falls back to the bit-identical cold path.
-	// Ignored when NoWarmStart is set.
 	RootBasis *lp.Basis
 	// Workers is the number of branch-and-bound workers; ≤0 selects
 	// runtime.GOMAXPROCS(0). Workers = 1 preserves the deterministic
@@ -693,7 +687,7 @@ func (b *bnb) processNode(id int, work *lp.Problem, nd *node) {
 		copy(work.Upper, nd.upper)
 		var sol *lp.Solution
 		var err error
-		if nd.basis != nil && !b.opts.NoWarmStart {
+		if nd.basis != nil {
 			sol, err = lp.SolveFromCtx(b.ctx, work, nd.basis, b.lpOpts)
 		} else {
 			sol, err = lp.SolveCtx(b.ctx, work, b.lpOpts)
@@ -988,15 +982,15 @@ func (b *bnb) boundLocked() float64 {
 func (b *bnb) snapshotLocked() Stats {
 	el := since(b.start)
 	st := Stats{
-		Elapsed:       el,
-		Nodes:         b.nodes,
-		SimplexIters:  b.iters.Load(),
-		OpenNodes:     len(b.open),
-		Workers:       len(b.workerNodes),
-		WorkerNodes:   append([]int(nil), b.workerNodes...),
-		HasIncumbent:  b.hasInc,
-		Incumbent:     b.incObj,
-		Incumbents:    append([]IncumbentRecord(nil), b.history...),
+		Elapsed:          el,
+		Nodes:            b.nodes,
+		SimplexIters:     b.iters.Load(),
+		OpenNodes:        len(b.open),
+		Workers:          len(b.workerNodes),
+		WorkerNodes:      append([]int(nil), b.workerNodes...),
+		HasIncumbent:     b.hasInc,
+		Incumbent:        b.incObj,
+		Incumbents:       append([]IncumbentRecord(nil), b.history...),
 		WarmHits:         b.warmHits.Load(),
 		WarmMisses:       b.warmMisses.Load(),
 		WarmDuals:        b.warmDuals.Load(),

@@ -24,7 +24,7 @@ func TestKnapsack(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{-10, -13, -7, -11},
-			A:     [][]float64{{3, 4, 2, 3}},
+			SA:    sparseRows([][]float64{{3, 4, 2, 3}}),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{7},
 			Upper: []float64{1, 1, 1, 1},
@@ -48,7 +48,7 @@ func TestIntegerInfeasible(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{1},
-			A:     [][]float64{{2}},
+			SA:    sparseRows([][]float64{{2}}),
 			Rel:   []lp.Rel{lp.EQ},
 			B:     []float64{3},
 			Upper: []float64{5},
@@ -70,7 +70,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{-1, -2},
-			A:     [][]float64{{1, 1}, {1, 0}},
+			SA:    sparseRows([][]float64{{1, 1}, {1, 0}}),
 			Rel:   []lp.Rel{lp.LE, lp.GE},
 			B:     []float64{7.5, 2.2},
 			Upper: []float64{10, 10},
@@ -93,7 +93,7 @@ func TestPureLPPassThrough(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:   []float64{1, 1},
-			A:   [][]float64{{1, 1}},
+			SA:  sparseRows([][]float64{{1, 1}}),
 			Rel: []lp.Rel{lp.GE},
 			B:   []float64{3.3},
 		},
@@ -112,7 +112,7 @@ func TestUnboundedMILP(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:   []float64{-1},
-			A:   [][]float64{{0}},
+			SA:  sparseRows([][]float64{{0}}),
 			Rel: []lp.Rel{lp.LE},
 			B:   []float64{1},
 		},
@@ -133,6 +133,61 @@ func TestUnboundedMILP(t *testing.T) {
 	}
 }
 
+// sparseRows converts dense coefficient rows to the lp.Problem.SA format,
+// the way lp.Problem.AddRow does.
+func sparseRows(a [][]float64) []lp.SparseRow {
+	rows := make([]lp.SparseRow, len(a))
+	for i, row := range a {
+		rows[i] = lp.DenseRow(row)
+	}
+	return rows
+}
+
+// referenceOptimum is the enumeration oracle for the warm-start and pricing
+// tests: bruteForceBinary when every variable is a binary, and otherwise a
+// cold lp.Solve of the LP left by each assignment of the binaries.
+func referenceOptimum(t *testing.T, p *Problem) float64 {
+	t.Helper()
+	var bins []int
+	for j, isInt := range p.Integer {
+		if isInt {
+			bins = append(bins, j)
+		}
+	}
+	if len(bins) == p.LP.NumVars() {
+		best, ok := bruteForceBinary(p)
+		if !ok {
+			t.Fatal("reference: no feasible binary point")
+		}
+		return best
+	}
+	if len(bins) > 12 {
+		t.Fatalf("reference: %d binaries is too many to enumerate", len(bins))
+	}
+	best := math.Inf(1)
+	q := p.LP.Clone()
+	if q.Lower == nil {
+		q.Lower = make([]float64, q.NumVars())
+	}
+	for mask := 0; mask < 1<<len(bins); mask++ {
+		for k, j := range bins {
+			v := float64(mask >> k & 1)
+			q.Lower[j], q.Upper[j] = v, v
+		}
+		sol, err := lp.Solve(q)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if sol.Status == lp.StatusOptimal && sol.Obj < best {
+			best = sol.Obj
+		}
+	}
+	if math.IsInf(best, 1) {
+		t.Fatal("reference: every binary assignment is infeasible")
+	}
+	return best
+}
+
 // bruteForceBinary enumerates all assignments of binary variables and, since
 // all test instances have only binary integers, evaluates objective over
 // feasible completions by solving the continuous rest exactly (here: no
@@ -145,11 +200,8 @@ func bruteForceBinary(p *Problem) (float64, bool) {
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n {
-			for i, row := range p.LP.A {
-				v := 0.0
-				for k := range row {
-					v += row[k] * x[k]
-				}
+			for i := range p.LP.SA {
+				v := p.LP.RowDot(i, x)
 				switch p.LP.Rel[i] {
 				case lp.LE:
 					if v > p.LP.B[i]+1e-9 {
@@ -192,7 +244,7 @@ func TestRandomBinaryVsBruteForce(t *testing.T) {
 		p := &Problem{
 			LP: &lp.Problem{
 				C:     make([]float64, n),
-				A:     make([][]float64, m),
+				SA:    make([]lp.SparseRow, m),
 				Rel:   make([]lp.Rel, m),
 				B:     make([]float64, m),
 				Upper: make([]float64, n),
@@ -210,7 +262,7 @@ func TestRandomBinaryVsBruteForce(t *testing.T) {
 				row[j] = float64(rng.Intn(7) - 2)
 				s += math.Abs(row[j])
 			}
-			p.LP.A[i] = row
+			p.LP.SA[i] = lp.DenseRow(row)
 			p.LP.Rel[i] = lp.LE
 			p.LP.B[i] = s * (0.2 + 0.6*rng.Float64())
 		}
@@ -241,7 +293,7 @@ func TestBranchingRulesAgree(t *testing.T) {
 		p := &Problem{
 			LP: &lp.Problem{
 				C:     make([]float64, n),
-				A:     make([][]float64, 2),
+				SA:    make([]lp.SparseRow, 2),
 				Rel:   []lp.Rel{lp.LE, lp.GE},
 				B:     []float64{0, 0},
 				Upper: make([]float64, n),
@@ -259,7 +311,7 @@ func TestBranchingRulesAgree(t *testing.T) {
 				row[j] = rng.Float64() * 2
 				s += row[j]
 			}
-			p.LP.A[i] = row
+			p.LP.SA[i] = lp.DenseRow(row)
 			p.LP.B[i] = s
 		}
 		p.LP.Rel[1] = lp.LE
@@ -288,7 +340,7 @@ func TestNodeLimit(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -303,7 +355,7 @@ func TestNodeLimit(t *testing.T) {
 		row[j] = 1 + rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = lp.DenseRow(row)
 	p.LP.B[0] = s / 2
 	sol, err := SolveWithOptions(p, Options{MaxNodes: 3})
 	if err != nil {
@@ -333,7 +385,7 @@ func BenchmarkKnapsack20(b *testing.B) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -348,7 +400,7 @@ func BenchmarkKnapsack20(b *testing.B) {
 		row[j] = 1 + 10*rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = lp.DenseRow(row)
 	p.LP.B[0] = s / 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,7 +418,7 @@ func TestTimeLimit(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 2),
+			SA:    make([]lp.SparseRow, 2),
 			Rel:   []lp.Rel{lp.LE, lp.GE},
 			B:     make([]float64, 2),
 			Upper: make([]float64, n),
@@ -382,7 +434,7 @@ func TestTimeLimit(t *testing.T) {
 		rows[1][j] = rng.Float64()
 		s += rows[0][j]
 	}
-	p.LP.A = rows
+	p.LP.SA = sparseRows(rows)
 	p.LP.B[0] = s / 2
 	p.LP.B[1] = 0.1
 	sol, err := SolveWithOptions(p, Options{TimeLimit: 1}) // 1ns

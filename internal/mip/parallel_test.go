@@ -15,7 +15,7 @@ func knapsackInstance(rng *rand.Rand, n int) *Problem {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -30,7 +30,7 @@ func knapsackInstance(rng *rand.Rand, n int) *Problem {
 		row[j] = 1 + 10*rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = lp.DenseRow(row)
 	p.LP.B[0] = s / 2
 	return p
 }
@@ -73,17 +73,13 @@ func lotSizingInstance(rng *rand.Rand, T int) *Problem {
 		if t > 0 {
 			row[beta(t-1)] = 1
 		}
-		p.LP.A = append(p.LP.A, row)
-		p.LP.Rel = append(p.LP.Rel, lp.EQ)
-		p.LP.B = append(p.LP.B, dem[t])
+		p.LP.AddRow(row, lp.EQ, dem[t])
 
 		// α_t ≤ total·χ_t
 		row2 := make([]float64, nv)
 		row2[alpha(t)] = 1
 		row2[chi(t)] = -total
-		p.LP.A = append(p.LP.A, row2)
-		p.LP.Rel = append(p.LP.Rel, lp.LE)
-		p.LP.B = append(p.LP.B, 0)
+		p.LP.AddRow(row2, lp.LE, 0)
 	}
 	return p
 }
@@ -99,7 +95,7 @@ func TestWorkersAgreeOnOptimum(t *testing.T) {
 		{"knapsack4", &Problem{
 			LP: &lp.Problem{
 				C:     []float64{-10, -13, -7, -11},
-				A:     [][]float64{{3, 4, 2, 3}},
+				SA:    sparseRows([][]float64{{3, 4, 2, 3}}),
 				Rel:   []lp.Rel{lp.LE},
 				B:     []float64{7},
 				Upper: []float64{1, 1, 1, 1},
@@ -109,7 +105,7 @@ func TestWorkersAgreeOnOptimum(t *testing.T) {
 		{"mixed", &Problem{
 			LP: &lp.Problem{
 				C:     []float64{-1, -2},
-				A:     [][]float64{{1, 1}, {1, 0}},
+				SA:    sparseRows([][]float64{{1, 1}, {1, 0}}),
 				Rel:   []lp.Rel{lp.LE, lp.GE},
 				B:     []float64{7.5, 2.2},
 				Upper: []float64{10, 10},

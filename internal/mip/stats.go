@@ -61,9 +61,9 @@ type Stats struct {
 	// bound repair first, WarmDuals nodes whose dual-feasible basis was
 	// repaired by the dual simplex, and WarmFallbacks nodes where the warm
 	// attempt was abandoned for the cold path. ColdNodes counts nodes
-	// dispatched cold from the start: the root, and every node when
-	// Options.NoWarmStart is set. WarmIters and ColdIters split SimplexIters
-	// along the same line.
+	// dispatched cold from the start: the root, unless Options.RootBasis
+	// warm-starts it. WarmIters and ColdIters split SimplexIters along the
+	// same line.
 	WarmHits      int64
 	WarmMisses    int64
 	WarmDuals     int64
@@ -75,11 +75,9 @@ type Stats struct {
 	// Sparse-pricing accounting over node relaxations. PricingSweeps is the
 	// total number of full pricing sweeps (every column priced) across all
 	// node LPs, and CandidateHits the pivots whose entering column came from
-	// the candidate list without a sweep — under lp.Options.FullPricing the
-	// sweep count equals the pivot count and CandidateHits stays zero, so
-	// the pair exposes the partial-pricing saving directly. NNZ is the
-	// structural nonzero count of the constraint matrix, constant across
-	// the solve.
+	// the candidate list without a sweep; a sweep count well below
+	// SimplexIters is the partial-pricing saving. NNZ is the structural
+	// nonzero count of the constraint matrix, constant across the solve.
 	PricingSweeps int64
 	CandidateHits int64
 	NNZ           int

@@ -139,15 +139,5 @@ const (
 	CutDedupTol = 1e-9
 )
 
-// Eq reports whether a and b are equal within the absolute tolerance tol.
-// It is the approved replacement for a==b on floats.
-func Eq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
 // Zero reports whether x is within tol of zero.
 func Zero(x, tol float64) bool { return math.Abs(x) <= tol }
-
-// Leq reports whether a ≤ b within the absolute tolerance tol.
-func Leq(a, b, tol float64) bool { return a <= b+tol }
-
-// Geq reports whether a ≥ b within the absolute tolerance tol.
-func Geq(a, b, tol float64) bool { return a >= b-tol }

@@ -16,7 +16,8 @@ import (
 //
 // This implements the paper's future-work direction of planning under
 // time-varying (uncertain) workloads; with a single demand state it reduces
-// exactly to Build.
+// exactly to Build. Like Build, it refuses a tree of more than
+// math.MaxInt32 vertices with an error before allocating any of its rows.
 func BuildJoint(base stats.Discrete, bids []float64, onDemand float64, demStates stats.Discrete, rootDemand float64, cfg BuildConfig) (*Tree, []float64, error) {
 	if demStates.Len() == 0 {
 		return nil, nil, errors.New("scenario: empty demand distribution")
@@ -70,31 +71,45 @@ func BuildJoint(base stats.Discrete, bids []float64, onDemand float64, demStates
 		}
 	}
 
-	tr := &Tree{
-		Parent:   []int{-1},
-		Prob:     []float64{1},
-		Stage:    []int{0},
-		Price:    []float64{cfg.RootPrice},
-		OutOfBid: []bool{false},
+	// Each stage branches over price × demand states; a product too large
+	// to form is clamped to maxVertices, which treeSize always refuses.
+	nd := demStates.Len()
+	n, err := treeSize(cfg.Stages, func(s int) int {
+		if nd > maxVertices/len(stages[s]) {
+			return maxVertices
+		}
+		return len(stages[s]) * nd
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	dem := []float64{rootDemand}
-	frontier := []int{0}
+	// Expand breadth-first, as Build does: the parents of stage s+1 are the
+	// vertices [lo, hi) of stage s.
+	tr := &Tree{
+		Parent:   make([]int, n),
+		Prob:     make([]float64, n),
+		Stage:    make([]int, n),
+		Price:    make([]float64, n),
+		OutOfBid: make([]bool, n),
+	}
+	dem := make([]float64, n)
+	tr.Parent[0], tr.Prob[0], tr.Price[0], dem[0] = -1, 1, cfg.RootPrice, rootDemand
+	lo, hi, w := 0, 1, 1
 	for s := 0; s < cfg.Stages; s++ {
-		var next []int
-		for _, v := range frontier {
+		for v := lo; v < hi; v++ {
 			for _, ps := range stages[s] {
-				for di := range demStates.Values {
-					tr.Parent = append(tr.Parent, v)
-					tr.Prob = append(tr.Prob, tr.Prob[v]*ps.prob*demStates.Probs[di])
-					tr.Stage = append(tr.Stage, s+1)
-					tr.Price = append(tr.Price, ps.price)
-					tr.OutOfBid = append(tr.OutOfBid, ps.oob)
-					dem = append(dem, demStates.Values[di])
-					next = append(next, len(tr.Parent)-1)
+				for di, d := range demStates.Values {
+					tr.Parent[w] = v
+					tr.Prob[w] = tr.Prob[v] * ps.prob * demStates.Probs[di]
+					tr.Stage[w] = s + 1
+					tr.Price[w] = ps.price
+					tr.OutOfBid[w] = ps.oob
+					dem[w] = d
+					w++
 				}
 			}
 		}
-		frontier = next
+		lo, hi = hi, w
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("scenario: joint tree invalid: %w", err)

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"rentplan/internal/stats"
@@ -133,5 +135,35 @@ func TestValidateStageGapDetected(t *testing.T) {
 	bad3.OutOfBid = nil
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("want length error")
+	}
+}
+
+// TestBuildJointRejectsTreesBeyondInt32 plans 40 stages over one price
+// state and two demand states: the 41-vertex price tree fits, but the joint
+// tree would have about 4·10¹² vertices. BuildJoint must refuse at once,
+// without allocating the joint rows.
+func TestBuildJointRejectsTreesBeyondInt32(t *testing.T) {
+	base := stats.Discrete{Values: []float64{0.05}, Probs: []float64{1}}
+	bids := make([]float64, 40)
+	for i := range bids {
+		bids[i] = 0.06
+	}
+	dem := stats.Discrete{Values: []float64{1, 2}, Probs: []float64{0.5, 0.5}}
+	cfg := BuildConfig{Stages: 40, RootPrice: 0.06}
+	if price, err := Build(base, bids, 0.2, cfg); err != nil || price.N() != 41 {
+		t.Fatalf("price tree: %v, %v", price, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, _, err := BuildJoint(base, bids, 0.2, dem, 1, cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("built a %d-vertex joint tree, want a size error", tr.N())
+	}
+	if !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("error %q does not name the size limit", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("BuildJoint allocated %d bytes before refusing", grown)
 	}
 }

@@ -161,6 +161,24 @@ type BuildConfig struct {
 // int32 rows of the tree DP.
 const maxVertices = math.MaxInt32
 
+// treeSize returns the vertex count 1 + Σ_s Π_{k≤s} width(k) of a balanced
+// tree whose stage-(s+1) vertices each have width(s) ≥ 1 children. The
+// count must fit maxVertices; each product is checked before it is formed,
+// so a request for an astronomically large tree fails here instead of
+// exhausting memory.
+func treeSize(stages int, width func(s int) int) (int, error) {
+	n, level := 1, 1
+	for s := 0; s < stages; s++ {
+		w := width(s)
+		if level > maxVertices/w || n > maxVertices-level*w {
+			return 0, fmt.Errorf("scenario: %d-stage tree exceeds %d vertices at stage %d", stages, maxVertices, s+1)
+		}
+		level *= w
+		n += level
+	}
+	return n, nil
+}
+
 // Build expands per-stage bid-adjusted distributions into a balanced
 // multistage tree. bids[t] is the ASP's bid for future stage t+1
 // (len(bids) == cfg.Stages); base is the summarised historical price
@@ -221,17 +239,9 @@ func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfi
 		}
 		stages[s] = sts
 	}
-	// The tree has 1 + Σ_s Π_{k≤s} |states_k| vertices. The count must fit
-	// an int32, the vertex index width of the tree DP; each product is
-	// checked before it is formed, so a request for an astronomically
-	// large tree fails here instead of exhausting memory.
-	n, level := 1, 1
-	for s, sts := range stages {
-		if level > maxVertices/len(sts) || n > maxVertices-level*len(sts) {
-			return nil, fmt.Errorf("scenario: %d-stage tree exceeds %d vertices at stage %d", cfg.Stages, maxVertices, s+1)
-		}
-		level *= len(sts)
-		n += level
+	n, err := treeSize(cfg.Stages, func(s int) int { return len(stages[s]) })
+	if err != nil {
+		return nil, err
 	}
 	// Expand into the tree, breadth-first: the parents of stage s+1 are
 	// the vertices [lo, hi) of stage s.

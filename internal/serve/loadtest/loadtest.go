@@ -81,6 +81,7 @@ type Report struct {
 // tenantWorld is one synthetic tenant's market view and workload.
 type tenantWorld struct {
 	name      string
+	cohort    int
 	demand    []float64
 	rootPrice float64
 	base      stats.Discrete
@@ -112,6 +113,7 @@ func buildWorlds(cfg Config) ([]*tenantWorld, error) {
 			}
 			worlds = append(worlds, &tenantWorld{
 				name:      fmt.Sprintf("tenant-%03d", i),
+				cohort:    c,
 				demand:    dem,
 				rootPrice: prices[0],
 				base:      base,
@@ -178,14 +180,26 @@ func Run(cfg Config) (*Report, error) {
 		return rec.Code, &resp, d
 	}
 
+	// The first tenant of each cohort (its leader) sends its srrp warm-up
+	// alone; the rest of the cohort sends theirs once the leader's has
+	// completed, so they find its tree and root basis in the cache instead
+	// of racing it to build them.
+	leaderDone := make([]chan struct{}, cfg.Cohorts)
+	for c := range leaderDone {
+		leaderDone[c] = make(chan struct{})
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for _, w := range worlds {
+	for k, w := range worlds {
+		leader := k == 0 || worlds[k-1].cohort != w.cohort
 		wg.Add(1)
 		go func(w *tenantWorld) {
 			defer wg.Done()
+			if !leader {
+				<-leaderDone[w.cohort]
+			}
 			// Warm-up: one srrp plan against the cohort's shared market
-			// state; every tenant after the first hits the tree cache.
+			// state; every tenant after the leader hits the tree cache.
 			srrp := w.planRequest("srrp", cfg)
 			for attempt := 0; ; attempt++ {
 				code, resp, d := post(srrp)
@@ -194,6 +208,9 @@ func Run(cfg Config) (*Report, error) {
 					break
 				}
 				time.Sleep(time.Millisecond << uint(attempt%6))
+			}
+			if leader {
+				close(leaderDone[w.cohort])
 			}
 			// Rolling steps: the tenant's own demand, replanned on stride 2,
 			// so half the slots ride the previous plan.
